@@ -24,6 +24,10 @@ cargo bench --workspace --no-run
 echo "== observability overhead bench =="
 cargo bench -p rolljoin-bench --bench obs_overhead
 
+echo "== perfbench (outside the workspace: build + self-tests) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== docs =="
 cargo doc --no-deps --workspace
 

@@ -5,9 +5,11 @@
 //! through every propagation join, and almost all of it cancels. φ is
 //! linear over SPJ propagation (Definition 4.1 / Lemma 4.2), so the
 //! net-effect reduction can be taken *early* — at scan time, before rows
-//! reach a join or the scan cache (`CompactionPolicy::OnScan`), and in the
-//! stores themselves below the global LWM (`CompactionPolicy::Background`)
-//! — without changing any net effect. This experiment drives a two-way
+//! reach a join or the scan cache (the `on-scan` arm:
+//! `CompactionPolicy::Background(1)` with no store pass), and in the
+//! stores themselves below the global LWM (the `background` arm: the same
+//! policy plus `compact_stores` between windows) — without changing any
+//! net effect. This experiment drives a two-way
 //! join with Zipf-skewed insert/delete churn (90% of ops are a paired
 //! insert+delete of one tuple, netting to zero), propagates the history in
 //! rolling windows under each policy, and reports the propagate-phase wall
@@ -79,20 +81,39 @@ struct RunOutcome {
     verify: String,
 }
 
-fn policy_name(p: CompactionPolicy) -> &'static str {
-    match p {
-        CompactionPolicy::Off => "off",
-        CompactionPolicy::OnScan => "on-scan",
-        CompactionPolicy::Background(_) => "background",
-    }
+/// One compared arm: its label, the tuning's policy, and whether store
+/// history is compacted between windows.
+#[derive(Debug, Clone, Copy)]
+struct Arm {
+    name: &'static str,
+    policy: CompactionPolicy,
+    store_pass: bool,
 }
+
+const ARMS: [Arm; 3] = [
+    Arm {
+        name: "off",
+        policy: CompactionPolicy::Off,
+        store_pass: false,
+    },
+    Arm {
+        name: "on-scan",
+        policy: CompactionPolicy::Background(1),
+        store_pass: false,
+    },
+    Arm {
+        name: "background",
+        policy: CompactionPolicy::Background(1),
+        store_pass: true,
+    },
+];
 
 /// Median-propagate-wall trial of a configuration (row counts are
 /// deterministic; only wall time is trial-noisy).
-fn run_best(policy: CompactionPolicy, theta: f64, workers: usize) -> Result<RunOutcome> {
+fn run_best(arm: Arm, theta: f64, workers: usize) -> Result<RunOutcome> {
     let mut outs = Vec::with_capacity(TRIALS);
     for trial in 0..TRIALS {
-        outs.push(run_config(policy, theta, workers, trial)?);
+        outs.push(run_config(arm, theta, workers, trial)?);
     }
     outs.sort_by_key(|o| o.propagate_wall);
     Ok(outs.swap_remove(TRIALS / 2))
@@ -100,20 +121,16 @@ fn run_best(policy: CompactionPolicy, theta: f64, workers: usize) -> Result<RunO
 
 /// One configuration: seed, materialize, replay the skew's churn history,
 /// then propagate it in `WINDOWS` rolling windows with a roll after each —
-/// under `Background`, also compacting the stores below the LWM between
-/// windows, exactly what `spawn_compaction_driver` does asynchronously.
-fn run_config(
-    policy: CompactionPolicy,
-    theta: f64,
-    workers: usize,
-    trial: usize,
-) -> Result<RunOutcome> {
+/// in the `background` arm, also compacting the stores below the LWM
+/// between windows, exactly what `spawn_compaction_driver` does
+/// asynchronously.
+fn run_config(arm: Arm, theta: f64, workers: usize, trial: usize) -> Result<RunOutcome> {
     let w = TwoWay::setup(&format!(
         "e18p{}t{}w{workers}x{trial}",
-        policy_name(policy),
+        arm.name,
         (theta * 100.0) as u64
     ))?;
-    let ctx = w.ctx().with_workers(workers).with_compaction(policy);
+    let ctx = w.ctx().with_workers(workers).with_compaction(arm.policy);
 
     // Seed before materializing so the propagated windows contain only
     // churn: every key joins, and S carries SEED_MULT rows per key.
@@ -168,7 +185,7 @@ fn run_config(
         let t0 = Instant::now();
         roll_to(&ctx, hi)?;
         apply_wall += t0.elapsed();
-        if matches!(policy, CompactionPolicy::Background(_)) {
+        if arm.store_pass {
             ctx.compact_stores()?;
         }
     }
@@ -198,11 +215,6 @@ fn run_config(
 /// E18: sweep compaction policy × Zipf skew × workers on Zipf hot-key
 /// churn; emit the results table and `BENCH_compaction.json`.
 pub fn e18() -> Result<()> {
-    let policies = [
-        CompactionPolicy::Off,
-        CompactionPolicy::OnScan,
-        CompactionPolicy::Background(1),
-    ];
     let mut t = Table::new(&[
         "policy",
         "theta",
@@ -222,23 +234,22 @@ pub fn e18() -> Result<()> {
     for theta in [0.0f64, 0.99] {
         for workers in [1usize, 2] {
             let mut baseline: Option<(Duration, u64, NetEffect)> = None;
-            for policy in policies {
-                let out = run_best(policy, theta, workers)?;
+            for arm in ARMS {
+                let out = run_best(arm, theta, workers)?;
                 let (base_wall, base_delta, base_phi) = baseline
                     .get_or_insert((out.propagate_wall, out.delta_rows, out.phi.clone()))
                     .clone();
                 assert_eq!(
-                    out.phi,
-                    base_phi,
+                    out.phi, base_phi,
                     "view-delta divergence: {} vs off at theta={theta}",
-                    policy_name(policy)
+                    arm.name
                 );
-                assert_eq!(out.verify, "ok", "oracle mismatch under {policy:?}");
+                assert_eq!(out.verify, "ok", "oracle mismatch under {}", arm.name);
                 let wall_ratio =
                     out.propagate_wall.as_secs_f64() / base_wall.as_secs_f64().max(1e-9);
                 let rows_ratio = out.delta_rows as f64 / (base_delta as f64).max(1e-9);
                 t.row(vec![
-                    policy_name(policy).to_string(),
+                    arm.name.to_string(),
                     format!("{theta}"),
                     workers.to_string(),
                     format!("{:.2} ms", out.propagate_wall.as_secs_f64() * 1e3),
@@ -261,7 +272,7 @@ pub fn e18() -> Result<()> {
                         "\"vd_rows_end\": {}, \"bytes_reclaimed\": {}, ",
                         "\"view_delta_divergence\": false, \"oracle\": \"{}\"}}"
                     ),
-                    policy_name(policy),
+                    arm.name,
                     theta,
                     workers,
                     out.propagate_wall.as_secs_f64() * 1e3,
@@ -277,13 +288,13 @@ pub fn e18() -> Result<()> {
                     out.bytes_reclaimed,
                     out.verify,
                 ));
-                if theta == 0.99 && policy != CompactionPolicy::Off {
+                if theta == 0.99 && arm.policy != CompactionPolicy::Off {
                     headline.push(format!(
                         concat!(
                             "    {{\"policy\": \"{}\", \"workers\": {}, ",
                             "\"wall_reduction_pct\": {:.1}, \"rows_joined_reduction_pct\": {:.1}}}"
                         ),
-                        policy_name(policy),
+                        arm.name,
                         workers,
                         (1.0 - wall_ratio) * 100.0,
                         (1.0 - rows_ratio) * 100.0,

@@ -61,7 +61,8 @@ struct RunOutcome {
 
 /// One configuration: seed a star, replay a deterministic deep fact
 /// history plus `sel` touched keys per dimension, then propagate the
-/// whole window with keyed delta probing on or off.
+/// whole window with keyed delta probing on (delta indexes on every join
+/// column) or off (no delta indexes).
 fn run_config(
     probe: bool,
     sel: usize,
@@ -74,17 +75,20 @@ fn run_config(
         DIMS,
         DIM_SIZE,
     )?;
-    for col in 0..DIMS {
-        star.engine.create_delta_index(star.fact, col)?;
-    }
-    for dim in &star.dims {
-        star.engine.create_delta_index(*dim, 0)?;
+    // Probing off = no keyed delta index to probe: every pending delta
+    // slot falls back to its range scan.
+    if probe {
+        for col in 0..DIMS {
+            star.engine.create_delta_index(star.fact, col)?;
+        }
+        for dim in &star.dims {
+            star.engine.create_delta_index(*dim, 0)?;
+        }
     }
     let ctx = star.ctx().with_tuning(
         ExecTuning::default()
             .with_workers(workers)
-            .with_compaction(CompactionPolicy::Off)
-            .with_delta_probe(probe),
+            .with_compaction(CompactionPolicy::Off),
     );
     let mat = materialize(&ctx)?;
 
@@ -125,7 +129,7 @@ fn run_config(
     let t0 = Instant::now();
     let mut worker = DeltaWorker::new();
     worker.enqueue(PropQuery::all_base(star.n()), 1, vec![mat; star.n()], end);
-    worker.run_auto(&ctx)?;
+    worker.run(&ctx)?;
     let propagate_wall = t0.elapsed();
     ctx.mv.set_hwm(end);
     let since = ctx.stats.snapshot().since(&before);

@@ -63,7 +63,6 @@ pub fn materialize(ctx: &MaintCtx) -> Result<Csn> {
     let csn = txn.commit()?;
     ctx.mv.set_mat_time(csn);
     ctx.mv.set_hwm(csn);
-    ctx.refresh_gauges();
     Ok(csn)
 }
 
@@ -147,7 +146,6 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
     }
     if ctx.obs.metrics_on() {
         ctx.meters.record_step(&ctx.obs.meter, "apply", false);
-        ctx.refresh_gauges();
     }
     Ok(ApplyOutcome {
         rolled_to: target,
@@ -217,6 +215,5 @@ pub fn full_refresh(ctx: &MaintCtx) -> Result<Csn> {
     // View-delta records at or below the new materialization time are now
     // stale; drop them so a later roll cannot double-apply.
     ctx.engine.vd_prune(ctx.mv.vd_table, csn)?;
-    ctx.refresh_gauges();
     Ok(csn)
 }

@@ -24,10 +24,13 @@
 //! timeout (deadlock resolution) halfway through leaves some results
 //! durably in the view delta. Re-running the whole computation would
 //! double-apply them. [`DeltaWorker`] therefore tracks the outstanding
-//! [`Frame`]s explicitly: a failed `Execute` pushes its frame back intact,
-//! and a later [`DeltaWorker::run`] resumes *exactly* where it stopped —
-//! the paper's prototype stores the equivalent progress in its control
-//! tables.
+//! [`Frame`]s and constituent queries explicitly: a failed `Execute`
+//! re-queues its query intact, and a later [`DeltaWorker::run`] resumes
+//! *exactly* where it stopped — the paper's prototype stores the
+//! equivalent progress in its control tables.
+//!
+//! The constituent queries of one round are mutually independent, so the
+//! same queue drives a pool of workers; a pool of one runs them inline.
 
 use crate::execute::{MaintCtx, QuerySpanCtx};
 use crate::query::PropQuery;
@@ -36,15 +39,13 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One outstanding `ComputeDelta` activation: propagate the delta of `q`
-/// from `tau` to `t_new` (scaled by `sign`), with slots before `next_slot`
-/// already expanded.
+/// from `tau` to `t_new` (scaled by `sign`).
 #[derive(Debug, Clone)]
 pub struct Frame {
     pub q: PropQuery,
     pub sign: i64,
     pub tau: Vec<Csn>,
     pub t_new: Csn,
-    next_slot: usize,
     /// Span id of the query (or step) that caused this activation — the
     /// parent of every query span the frame issues. `0` = root.
     parent: u64,
@@ -137,52 +138,14 @@ impl DeltaWorker {
             sign,
             tau,
             t_new,
-            next_slot: 0,
             parent,
             depth,
         }));
     }
 
-    /// Drain the queue with [`DeltaWorker::run`] or
-    /// [`DeltaWorker::run_parallel`] according to `ctx.tuning.workers`.
-    pub fn run_auto(&mut self, ctx: &MaintCtx) -> Result<()> {
-        if ctx.tuning.workers > 1 {
-            self.run_parallel(ctx, ctx.tuning.workers)
-        } else {
-            self.run(ctx)
-        }
-    }
-
-    /// Drain the queue sequentially. On error (e.g. a lock timeout), all
-    /// unfinished work — including the failing item — remains queued; call
-    /// `run` again to resume without re-executing anything that committed.
-    pub fn run(&mut self, ctx: &MaintCtx) -> Result<()> {
-        while let Some(work) = self.queue.pop_front() {
-            ctx.stats.record_queue_depth(self.queue.len() as u64 + 1);
-            match work {
-                Work::Expand(mut frame) => {
-                    if let Err(e) = self.run_frame(ctx, &mut frame) {
-                        self.queue.push_front(Work::Expand(frame));
-                        return Err(e);
-                    }
-                }
-                Work::Exec(unit) => match ctx.execute_traced(&unit.q, unit.sign, unit.span_ctx()) {
-                    Ok((outcome, span_id)) => {
-                        self.push_compensation(&unit, outcome.exec_csn, span_id)
-                    }
-                    Err(e) => {
-                        self.queue.push_front(Work::Exec(unit));
-                        return Err(e);
-                    }
-                },
-            }
-        }
-        Ok(())
-    }
-
-    /// Drain the queue with a pool of `workers` threads executing
-    /// constituent queries concurrently, each as its own strict-2PL
-    /// transaction.
+    /// Drain the queue with a pool of `ctx.tuning.workers` threads
+    /// executing constituent queries concurrently, each as its own
+    /// strict-2PL transaction.
     ///
     /// Each round: (1) expand every queued frame into its independent
     /// single-query `Unit`s, (2) execute the units across the pool,
@@ -190,14 +153,18 @@ impl DeltaWorker {
     /// unit's own commit CSN) and re-queue every failure (its transaction
     /// aborted, so re-execution cannot double-apply).
     ///
-    /// The result is identical to [`DeltaWorker::run`] under the `φ`
-    /// net-effect: units never depend on each other's execution times —
-    /// compensation is always relative to the unit's *actual* commit CSN —
-    /// so interleaving only changes the (compensated-for) drift, not the
+    /// The pool size does not change the result under the `φ` net-effect:
+    /// units never depend on each other's execution times — compensation
+    /// is always relative to the unit's *actual* commit CSN — so
+    /// interleaving only changes the (compensated-for) drift, not the
     /// delta. Deadlock-freedom is preserved because every transaction
     /// still acquires its base S locks in `TableId` order with the view
     /// delta's X lock last.
-    pub fn run_parallel(&mut self, ctx: &MaintCtx, workers: usize) -> Result<()> {
+    ///
+    /// On error (e.g. a lock timeout), all unfinished work — including the
+    /// failing unit — remains queued; call `run` again to resume without
+    /// re-executing anything that committed.
+    pub fn run(&mut self, ctx: &MaintCtx) -> Result<()> {
         loop {
             if self.queue.is_empty() {
                 return Ok(());
@@ -229,7 +196,7 @@ impl DeltaWorker {
             }
 
             // Phase 2: execute the round's units across the worker pool.
-            let results = execute_units(ctx, &units, workers);
+            let results = execute_units(ctx, &units, ctx.tuning.workers);
 
             // Phase 3: successes schedule their compensation; failures go
             // back on the queue (their transactions aborted — no durable
@@ -265,68 +232,15 @@ impl DeltaWorker {
                 sign: -unit.sign,
                 tau: tau.clone(),
                 t_new: exec_csn,
-                next_slot: 0,
                 parent: span_id,
                 depth: unit.depth + 1,
             }));
         }
     }
-
-    fn run_frame(&mut self, ctx: &MaintCtx, frame: &mut Frame) -> Result<()> {
-        let n = frame.q.n();
-        ctx.ensure_captured(frame.t_new)?;
-        while frame.next_slot < n {
-            let i = frame.next_slot;
-            if frame.q.slots[i].is_delta() || frame.tau[i] >= frame.t_new {
-                frame.next_slot += 1;
-                continue;
-            }
-            let interval = TimeInterval::new(frame.tau[i], frame.t_new);
-            if ctx.skip_empty && ctx.engine.delta_count(ctx.mv.view.bases[i], interval)? == 0 {
-                // The introduced delta slot is empty, so this query and
-                // every query in its compensation subtree (all of which
-                // retain the same empty slot) are empty. Nothing to do.
-                frame.next_slot += 1;
-                continue;
-            }
-            // Q' ← Q[1]…Q[i−1] R^i_{τ_old[i], t_new} Q[i+1]…Q[n]
-            let q2 = frame.q.with_delta(i, interval);
-            let sctx = QuerySpanCtx {
-                parent: frame.parent,
-                depth: frame.depth,
-                rel: Some(i),
-            };
-            let (outcome, span_id) = ctx.execute_traced(&q2, frame.sign, sctx)?;
-            frame.next_slot += 1;
-            if q2.slots.iter().any(|s| !s.is_delta()) {
-                // Tables left of i were intended at τ_old, right of i at
-                // t_new (Equation 2's convention); they were actually seen
-                // at t_exec — compensate back, negated.
-                let tau_intended: Vec<Csn> = (0..n)
-                    .map(|j| match j.cmp(&i) {
-                        std::cmp::Ordering::Less => frame.tau[j],
-                        std::cmp::Ordering::Equal => 0, // delta slot: unused
-                        std::cmp::Ordering::Greater => frame.t_new,
-                    })
-                    .collect();
-                self.queue.push_back(Work::Expand(Frame {
-                    q: q2,
-                    sign: -frame.sign,
-                    tau: tau_intended,
-                    t_new: outcome.exec_csn,
-                    next_slot: 0,
-                    parent: span_id,
-                    depth: frame.depth + 1,
-                }));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Expand a frame into its independent constituent-query units (without
-/// executing anything). Mirrors [`DeltaWorker::run_frame`]'s slot loop:
-/// the `i`-th unit substitutes `R^i_{τ_old[i], t_new}` into slot `i` and —
+/// executing anything): the `i`-th unit substitutes `R^i_{τ_old[i], t_new}` into slot `i` and —
 /// if base slots remain — carries the intended times that its eventual
 /// compensation must restore. Order-independent: `delta_count` reads
 /// capture-complete history that concurrent maintenance cannot change.
@@ -334,7 +248,7 @@ fn expand(ctx: &MaintCtx, frame: &Frame) -> Result<Vec<Unit>> {
     let n = frame.q.n();
     ctx.ensure_captured(frame.t_new)?;
     let mut units = Vec::new();
-    for i in frame.next_slot..n {
+    for i in 0..n {
         if frame.q.slots[i].is_delta() || frame.tau[i] >= frame.t_new {
             continue;
         }
@@ -371,9 +285,20 @@ fn expand(ctx: &MaintCtx, frame: &Frame) -> Result<Vec<Unit>> {
 /// Execute `units` across a pool of `workers` threads. Returns one result
 /// per unit — the commit CSN plus the query's span id — in unit order.
 /// Workers pull from a shared channel (work stealing by contention); each
-/// records its busy time.
+/// records its busy time. A pool of one runs on the calling thread.
 fn execute_units(ctx: &MaintCtx, units: &[Unit], workers: usize) -> Vec<Result<(Csn, u64)>> {
+    let exec = |unit: &Unit| {
+        ctx.execute_traced(&unit.q, unit.sign, unit.span_ctx())
+            .map(|(o, span_id)| (o.exec_csn, span_id))
+    };
     let workers = workers.min(units.len()).max(1);
+    if workers == 1 {
+        let start = Instant::now();
+        let results = units.iter().map(exec).collect();
+        ctx.stats
+            .record_worker_busy(start.elapsed().as_nanos() as u64);
+        return results;
+    }
     let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, &Unit)>();
     let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<(Csn, u64)>)>();
     for item in units.iter().enumerate() {
@@ -388,9 +313,7 @@ fn execute_units(ctx: &MaintCtx, units: &[Unit], workers: usize) -> Vec<Result<(
                 let mut busy = 0u64;
                 while let Ok((i, unit)) = work_rx.recv() {
                     let start = Instant::now();
-                    let res = ctx
-                        .execute_traced(&unit.q, unit.sign, unit.span_ctx())
-                        .map(|(o, span_id)| (o.exec_csn, span_id));
+                    let res = exec(unit);
                     busy += start.elapsed().as_nanos() as u64;
                     if res_tx.send((i, res)).is_err() {
                         break;
@@ -431,7 +354,7 @@ pub fn compute_delta(
 ) -> Result<()> {
     let mut worker = DeltaWorker::new();
     worker.enqueue(q.clone(), sign, tau_old.to_vec(), t_new);
-    worker.run_auto(ctx)
+    worker.run(ctx)
 }
 
 /// The number of propagation queries `ComputeDelta` issues for a query

@@ -19,9 +19,9 @@ use crate::metering::CoreMeters;
 use crate::policy::{CompactionPolicy, ExecTuning};
 use crate::query::{PropQuery, Slot};
 use crate::stats::{CompactionReport, PropStats};
-use rolljoin_common::{Csn, Error, Result};
+use rolljoin_common::{Csn, DeltaRow, Error, Result, TimeInterval};
 use rolljoin_obs::{JournalEntry, Obs, ObsConfig};
-use rolljoin_relalg::{exec, fetch, fetch_cached, BuildCache, SlotInput, SlotSource};
+use rolljoin_relalg::{compact_rows, exec, fetch, fetch_cached, BuildCache, SlotInput, SlotSource};
 use rolljoin_storage::{Engine, LockMode, ScanCache};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -266,30 +266,97 @@ impl MaintCtx {
     }
 
     /// Fetch one delta slot's *full* range through the step-scoped scan
-    /// cache, recording cache and scan-compaction stats.
+    /// cache, φ-reducing the part above `compact_above` (see
+    /// [`MaintCtx::compact_above`]): whole-range compaction is one cached
+    /// range, partial compaction concatenates a raw and a compacted
+    /// sub-range.
     fn fetch_delta_full(
         &self,
         txn: &mut rolljoin_storage::Txn,
         table: rolljoin_common::TableId,
-        iv: rolljoin_common::TimeInterval,
+        iv: TimeInterval,
+        compact_above: Option<Csn>,
+    ) -> Result<SlotInput> {
+        match compact_above {
+            Some(a) if a <= iv.lo => self.fetch_range(txn, table, iv, true),
+            Some(a) if a < iv.hi => {
+                let raw = self.fetch_range(txn, table, TimeInterval::new(iv.lo, a), false)?;
+                let merged = self.fetch_range(txn, table, TimeInterval::new(a, iv.hi), true)?;
+                let mut rows = raw.rows().to_vec();
+                rows.extend_from_slice(merged.rows());
+                Ok(SlotInput::Owned(rows))
+            }
+            _ => self.fetch_range(txn, table, iv, false),
+        }
+    }
+
+    /// One delta-range fetch through the scan cache, raw or φ-compacted,
+    /// recording cache and scan-compaction stats.
+    fn fetch_range(
+        &self,
+        txn: &mut rolljoin_storage::Txn,
+        table: rolljoin_common::TableId,
+        iv: TimeInterval,
         compact: bool,
     ) -> Result<SlotInput> {
         let source = SlotSource::Delta(table, iv);
         let (input, hit, raw) =
             fetch_cached(&self.engine, txn, &source, &self.scan_cache, compact)?;
         self.stats.record_scan_cache(hit, input.len() as u64);
-        if self.obs.metrics_on() {
-            if hit {
-                self.meters.scan_cache_hits.inc(1);
-            } else {
-                self.meters.scan_cache_misses.inc(1);
-            }
-        }
         if compact && !hit {
             self.stats
                 .record_scan_compaction(raw as u64, input.len() as u64);
         }
         Ok(input)
+    }
+
+    /// Split a query so that scan-level compaction reaches the churn of
+    /// every delta slot whose timestamps cannot surface. The delta slot
+    /// with the earliest start is cut at `m`, the earliest start of the
+    /// other delta slots: its rows at or below `m` are always the minimum
+    /// of any joined row, so in that part every other delta slot is
+    /// compacted whole; the rest follows the per-slot rule. The join
+    /// distributes over the cut, so the parts' results sum to the query's.
+    /// Without compaction, or with nothing to cut, the query is one part.
+    fn compaction_parts(&self, q: &PropQuery) -> Vec<PropQuery> {
+        let Some((p, piv)) = q.deltas().min_by_key(|(_, iv)| iv.lo) else {
+            return vec![q.clone()];
+        };
+        let m = q
+            .deltas()
+            .filter(|&(i, _)| i != p)
+            .map(|(_, iv)| iv.lo)
+            .min();
+        match m {
+            Some(m) if self.tuning.compaction.compact_on_scan() && piv.lo < m && m < piv.hi => {
+                vec![
+                    q.with_delta(p, TimeInterval::new(piv.lo, m)),
+                    q.with_delta(p, TimeInterval::new(m, piv.hi)),
+                ]
+            }
+            _ => vec![q.clone()],
+        }
+    }
+
+    /// Scan-level φ-compaction of delta rows: merge the same-tuple rows
+    /// whose timestamps are above `above`. A joined row takes the minimum
+    /// timestamp of its delta rows (§3.3), and `roll_to` may read the view
+    /// delta at any CSN, so merging rows is exact only where a row's own
+    /// timestamp can never reach the output — above the upper bound of
+    /// another delta slot of the same query, whose row then always carries
+    /// the minimum. `None` leaves the rows raw.
+    fn compact_above(&self, rows: Vec<DeltaRow>, above: Option<Csn>) -> Vec<DeltaRow> {
+        let Some(above) = above else {
+            return rows;
+        };
+        let (merge, mut keep): (Vec<_>, Vec<_>) = rows
+            .into_iter()
+            .partition(|r| r.ts.is_some_and(|ts| ts > above));
+        let (merged, _) = compact_rows(&merge);
+        self.stats
+            .record_scan_compaction(merge.len() as u64, merged.len() as u64);
+        keep.extend(merged);
+        keep
     }
 
     /// Fetch all slot row sets of a propagation query within `txn`: the
@@ -328,39 +395,29 @@ impl MaintCtx {
                 .position(|w| col >= w[0] && col < w[1])
                 .expect("validated column")
         };
-        let compact = self.tuning.compaction.compact_on_scan();
+        // Scan-level φ-compaction bound of each delta slot: the lowest
+        // upper bound of the *other* delta slots (see `compact_above`).
+        let compact_above = |i: usize| -> Option<Csn> {
+            if !self.tuning.compaction.compact_on_scan() {
+                return None;
+            }
+            q.deltas()
+                .filter(|&(k, _)| k != i)
+                .map(|(_, iv)| iv.hi)
+                .min()
+        };
         let mut slot_rows: Vec<Option<SlotInput>> = (0..n).map(|_| None).collect();
 
-        // Seed the cascade. With delta probing on, only the smallest delta
-        // range is materialized unconditionally — the others stay pending
-        // so the cascade may resolve them as keyed probes. With it off,
-        // every delta range is fetched up front (the pre-index behavior).
-        let deltas: Vec<(usize, rolljoin_common::TimeInterval)> = q
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Slot::Delta(iv) => Some((i, *iv)),
-                Slot::Base => None,
-            })
-            .collect();
-        let prefetch: Vec<(usize, rolljoin_common::TimeInterval)> =
-            if self.tuning.delta_probe && deltas.len() > 1 {
-                let seed = deltas
-                    .iter()
-                    .copied()
-                    .min_by_key(|&(i, iv)| {
-                        self.engine
-                            .delta_count(view.bases[i], iv)
-                            .unwrap_or(usize::MAX)
-                    })
-                    .expect("deltas is non-empty");
-                vec![seed]
-            } else {
-                deltas
-            };
-        for (i, iv) in prefetch {
-            slot_rows[i] = Some(self.fetch_delta_full(txn, view.bases[i], iv, compact)?);
+        // Seed the cascade: only the smallest delta range is materialized
+        // unconditionally — the others stay pending so the cascade may
+        // resolve them as keyed probes.
+        let seed = q.deltas().min_by_key(|&(i, iv)| {
+            self.engine
+                .delta_count(view.bases[i], iv)
+                .unwrap_or(usize::MAX)
+        });
+        if let Some((i, iv)) = seed {
+            slot_rows[i] = Some(self.fetch_delta_full(txn, view.bases[i], iv, compact_above(i))?);
         }
 
         let mut remaining: Vec<usize> = (0..n).filter(|&i| slot_rows[i].is_none()).collect();
@@ -437,8 +494,8 @@ impl MaintCtx {
                 }
             }
             match picked {
-                // Keyed delta probe: per-key posting slices, φ-compacted,
-                // bypassing the scan cache (the result is key-set-specific).
+                // Keyed delta probe: per-key posting slices, bypassing the
+                // scan cache (the result is key-set-specific).
                 Some((i, col, keys, Some(iv))) => {
                     let source = SlotSource::DeltaKeyed {
                         table: view.bases[i],
@@ -446,18 +503,10 @@ impl MaintCtx {
                         col,
                         keys: std::sync::Arc::new(keys),
                     };
-                    let (input, _, raw) =
-                        fetch_cached(&self.engine, txn, &source, &self.scan_cache, compact)?;
-                    self.stats.record_delta_decision(true, raw as u64);
-                    if compact {
-                        self.stats
-                            .record_scan_compaction(raw as u64, input.len() as u64);
-                    }
-                    if self.obs.metrics_on() {
-                        self.meters.delta_index_probes.inc(1);
-                        self.meters.delta_index_probe_rows.inc(raw as u64);
-                    }
-                    slot_rows[i] = Some(input);
+                    let rows = fetch(&self.engine, txn, &source)?;
+                    self.stats.record_delta_decision(true, rows.len() as u64);
+                    let rows = self.compact_above(rows, compact_above(i));
+                    slot_rows[i] = Some(SlotInput::Owned(rows));
                     remaining.retain(|&x| x != i);
                 }
                 Some((i, col, keys, None)) => {
@@ -483,12 +532,13 @@ impl MaintCtx {
                             Slot::Delta(iv) => iv,
                             Slot::Base => unreachable!("filtered to delta slots"),
                         };
-                        slot_rows[i] =
-                            Some(self.fetch_delta_full(txn, view.bases[i], iv, compact)?);
+                        slot_rows[i] = Some(self.fetch_delta_full(
+                            txn,
+                            view.bases[i],
+                            iv,
+                            compact_above(i),
+                        )?);
                         self.stats.record_delta_decision(false, 0);
-                        if self.obs.metrics_on() {
-                            self.meters.delta_index_scans.inc(1);
-                        }
                         remaining.retain(|&x| x != i);
                     } else {
                         let &i = remaining
@@ -600,24 +650,35 @@ impl MaintCtx {
             }
         }
 
-        let slot_rows = {
-            let _s = self.obs.span("fetch");
-            self.fetch_slots(&mut txn, q)?
-        };
-
-        let (rows, stats) = {
-            let _s = self.obs.span("join");
-            exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?
-        };
+        let mut rows = Vec::new();
+        let mut stats = exec::ExecStats::default();
+        for part in self.compaction_parts(q) {
+            let slot_rows = {
+                let _s = self.obs.span("fetch");
+                self.fetch_slots(&mut txn, &part)?
+            };
+            let (part_rows, part_stats) = {
+                let _s = self.obs.span("join");
+                exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?
+            };
+            rows.extend(part_rows);
+            stats.absorb(&part_stats);
+        }
+        // Sum rows with equal timestamp and tuple, dropping zero sums
+        // (exact: one timestamp is one multiset). A compensation query
+        // pairs each change of its earliest delta slot with many rows of
+        // the others, all stamped with that change's timestamp.
+        rows.sort_unstable_by_key(|r| r.ts);
+        let rows = rows
+            .chunk_by(|a, b| a.ts == b.ts)
+            .flat_map(|run| compact_rows(run).0);
         let mut written = 0u64;
         for row in rows {
             let ts = row.ts.ok_or_else(|| {
                 Error::Internal("propagation result row lost its timestamp".into())
             })?;
-            if row.count != 0 {
-                txn.vd_insert(self.mv.vd_table, ts, row.count, row.tuple)?;
-                written += 1;
-            }
+            txn.vd_insert(self.mv.vd_table, ts, row.count, row.tuple)?;
+            written += 1;
         }
         let lock_wait = txn.lock_wait();
         let exec_csn = {
@@ -640,17 +701,8 @@ impl MaintCtx {
 
         if self.obs.metrics_on() {
             let m = &self.meters;
-            if is_forward {
-                m.forward_queries.inc(1);
-            } else {
-                m.comp_queries.inc(1);
-            }
-            m.base_rows_read.inc(base_rows);
-            m.delta_rows_read.inc(delta_rows);
-            m.vd_rows_written.inc(written);
             m.query_wall_us.observe(wall.as_micros() as u64);
             m.query_lock_wait_us.observe(lock_wait.as_micros() as u64);
-            self.refresh_gauges();
         }
         if !qspan.is_noop() {
             qspan.arg("rows_read", (base_rows + delta_rows) as i64);
@@ -662,43 +714,29 @@ impl MaintCtx {
         Ok((ExecOutcome { exec_csn, stats }, span_id))
     }
 
-    /// Recompute the lag gauges from the current frontiers:
-    /// `propagation_lag = capture_hwm − prop_hwm` and
-    /// `view_staleness = capture_hwm − mat_time` (saturating — apply and
-    /// propagation commits themselves advance the engine clock past the
-    /// capture HWM, so the raw differences can transiently run negative).
-    /// No-op unless metrics are on.
-    pub fn refresh_gauges(&self) {
-        if !self.obs.metrics_on() {
-            return;
-        }
-        let capture = self.engine.capture_hwm();
-        let hwm = self.mv.hwm();
-        let mat = self.mv.mat_time();
-        let m = &self.meters;
-        m.capture_hwm.set(capture as i64);
-        m.prop_hwm.set(hwm as i64);
-        m.mat_time.set(mat as i64);
-        m.propagation_lag.set(capture.saturating_sub(hwm) as i64);
-        m.view_staleness.set(capture.saturating_sub(mat) as i64);
-        m.delta_postings_bytes
-            .set(self.engine.delta_postings_bytes() as i64);
-    }
-
-    /// Fold the cold-path sources into the metrics registry — the lock
-    /// manager's per-granularity stats, store-level compaction totals,
-    /// scan-level compaction counters — and refresh the lag gauges.
-    /// Call before exporting; [`MaintCtx::prometheus`] does.
+    /// Derive every registry series that has another owner — the
+    /// propagation counters from one [`PropStats`] snapshot, the lock
+    /// manager's per-granularity stats, store-level compaction totals —
+    /// and the frontier gauges (`propagation_lag = capture_hwm − prop_hwm`,
+    /// `view_staleness = capture_hwm − mat_time`, postings bytes) from
+    /// the live state. Call before exporting the registry;
+    /// [`MaintCtx::prometheus`] does. No-op unless metrics are on.
     pub fn observe_now(&self) -> Result<()> {
         if !self.obs.metrics_on() {
             return Ok(());
         }
-        self.refresh_gauges();
         let m = &self.meters;
         let meter = &self.obs.meter;
+        m.fold_prop_stats(meter, &self.stats.snapshot());
         m.fold_lock_stats(meter, &self.engine.locks().stats().snapshot_full());
         m.fold_compaction(meter, &self.compaction_report()?);
-        m.fold_prop_stats(meter, &self.stats.snapshot());
+        m.fold_frontiers(
+            meter,
+            self.engine.capture_hwm(),
+            self.mv.hwm(),
+            self.mv.mat_time(),
+            self.engine.delta_postings_bytes(),
+        );
         Ok(())
     }
 
@@ -903,12 +941,13 @@ mod tests {
         assert_eq!(snap.delta_probe_rows, 1);
         assert!(snap.delta_probe_rate() > 0.99);
 
-        // With probing disabled the same query scans the whole Δ^S range.
-        let scanning = ctx
-            .clone()
-            .with_tuning(crate::policy::ExecTuning::sequential().with_delta_probe(false));
+        // With a ratio no slice can beat, the same query scans the whole
+        // Δ^S range.
+        let scanning = ctx.clone().with_tuning(
+            crate::policy::ExecTuning::sequential().with_delta_probe_ratio(usize::MAX),
+        );
         let out = scanning.execute(&q, -1).unwrap();
-        assert_eq!(out.stats.rows_in, vec![1, 200], "probing off → range scan");
+        assert_eq!(out.stats.rows_in, vec![1, 200], "ratio MAX → range scan");
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Metric handles for the maintenance paths.
 //!
-//! [`CoreMeters`] registers every hot-path instrument once and caches the
-//! handles, so recording inside `Execute` is a couple of relaxed atomic
-//! ops with no registry lock. Cold-path series (per-relation interval
-//! widths, lock and compaction folds) are registered on use.
+//! Each number has one source. [`CoreMeters`] caches the two per-query
+//! histograms the execute path records into — the only hot-path
+//! instruments, so recording is a couple of relaxed atomic ops with no
+//! registry lock. Everything else is derived when the registry is
+//! exported ([`crate::MaintCtx::observe_now`]): the propagation counters
+//! are folded from one [`PropStatsSnapshot`] by a single table, the
+//! lock and compaction series from their owners' snapshots, and the
+//! frontier gauges from the live frontiers. Cold-path series (per-relation
+//! interval widths, step counts) are registered on use.
 //!
 //! The headline gauges are the paper's asynchrony made visible (Fig. 3):
 //!
@@ -17,64 +22,93 @@
 //! histograms are microseconds.
 
 use crate::stats::{CompactionReport, PropStatsSnapshot};
-use rolljoin_obs::{Counter, Gauge, Histogram, Meter};
+use rolljoin_obs::{Histogram, Meter};
 use rolljoin_storage::LockStatsSnapshot;
+
+/// A counter family rendered from [`PropStatsSnapshot`] fields: name,
+/// help, label key (`""` for an unlabeled series), and one `(label value,
+/// field)` per series.
+type PropFamily = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static [(&'static str, fn(&PropStatsSnapshot) -> u64)],
+);
+
+/// The counter series rendered from [`crate::PropStats`] at export.
+const PROP_FAMILIES: &[PropFamily] = &[
+    (
+        "rolljoin_queries_total",
+        "Propagation queries executed, by kind (forward vs compensation).",
+        "kind",
+        &[
+            ("forward", |s| s.forward_queries),
+            ("comp", |s| s.comp_queries),
+        ],
+    ),
+    (
+        "rolljoin_rows_read_total",
+        "Rows fetched by propagation queries, by slot kind.",
+        "slot",
+        &[
+            ("base", |s| s.base_rows_read),
+            ("delta", |s| s.delta_rows_read),
+        ],
+    ),
+    (
+        "rolljoin_vd_rows_written_total",
+        "Rows written into the view delta table.",
+        "",
+        &[("", |s| s.vd_rows_written)],
+    ),
+    (
+        "rolljoin_scan_cache_total",
+        "Delta-range fetches, by scan-cache outcome.",
+        "outcome",
+        &[
+            ("hit", |s| s.scan_cache_hits),
+            ("miss", |s| s.scan_cache_misses),
+        ],
+    ),
+    (
+        "rolljoin_delta_index_total",
+        "Pending delta slots planned, by keyed-index decision.",
+        "decision",
+        &[
+            ("probe", |s| s.delta_probe_decisions),
+            ("scan", |s| s.delta_scan_decisions),
+        ],
+    ),
+    (
+        "rolljoin_delta_index_probe_rows_total",
+        "Rows fetched through keyed delta-index probes.",
+        "",
+        &[("", |s| s.delta_probe_rows)],
+    ),
+    (
+        "rolljoin_scan_compact_rows_in_total",
+        "Raw delta rows that entered scan-level φ-compaction.",
+        "",
+        &[("", |s| s.compact_rows_in)],
+    ),
+    (
+        "rolljoin_scan_compact_rows_saved_total",
+        "Rows eliminated by scan-level φ-compaction.",
+        "",
+        &[("", |s| s.compact_rows_saved)],
+    ),
+];
 
 /// Cached handles for the instruments the execute path records into.
 pub struct CoreMeters {
-    pub forward_queries: Counter,
-    pub comp_queries: Counter,
-    pub base_rows_read: Counter,
-    pub delta_rows_read: Counter,
-    pub vd_rows_written: Counter,
     pub query_wall_us: Histogram,
     pub query_lock_wait_us: Histogram,
-    pub capture_hwm: Gauge,
-    pub prop_hwm: Gauge,
-    pub mat_time: Gauge,
-    pub propagation_lag: Gauge,
-    pub view_staleness: Gauge,
-    pub scan_cache_hits: Counter,
-    pub scan_cache_misses: Counter,
-    pub delta_index_probes: Counter,
-    pub delta_index_scans: Counter,
-    pub delta_index_probe_rows: Counter,
-    pub delta_postings_bytes: Gauge,
 }
 
 impl CoreMeters {
     /// Register (or look up) every hot-path instrument on `meter`.
     pub fn new(meter: &Meter) -> CoreMeters {
-        let queries = |kind| {
-            meter.counter_l(
-                "rolljoin_queries_total",
-                Some(("kind", kind)),
-                "Propagation queries executed, by kind (forward vs compensation).",
-            )
-        };
-        let rows_read = |slot| {
-            meter.counter_l(
-                "rolljoin_rows_read_total",
-                Some(("slot", slot)),
-                "Rows fetched by propagation queries, by slot kind.",
-            )
-        };
-        let cache = |outcome| {
-            meter.counter_l(
-                "rolljoin_scan_cache_total",
-                Some(("outcome", outcome)),
-                "Delta-range fetches, by scan-cache outcome.",
-            )
-        };
         CoreMeters {
-            forward_queries: queries("forward"),
-            comp_queries: queries("comp"),
-            base_rows_read: rows_read("base"),
-            delta_rows_read: rows_read("delta"),
-            vd_rows_written: meter.counter(
-                "rolljoin_vd_rows_written_total",
-                "Rows written into the view delta table.",
-            ),
             query_wall_us: meter.histogram(
                 "rolljoin_query_wall_us",
                 "Per-query wall time (capture wait + fetch + join + commit), microseconds.",
@@ -82,46 +116,6 @@ impl CoreMeters {
             query_lock_wait_us: meter.histogram(
                 "rolljoin_query_lock_wait_us",
                 "Per-query time blocked on locks, microseconds.",
-            ),
-            capture_hwm: meter.gauge(
-                "rolljoin_capture_hwm_csn",
-                "Log-capture high-water mark, CSNs.",
-            ),
-            prop_hwm: meter.gauge(
-                "rolljoin_prop_hwm_csn",
-                "View-delta high-water mark (min tcomp, Theorem 4.3), CSNs.",
-            ),
-            mat_time: meter.gauge(
-                "rolljoin_mat_time_csn",
-                "Materialization time of the view, CSNs.",
-            ),
-            propagation_lag: meter.gauge(
-                "rolljoin_propagation_lag_csn",
-                "capture_hwm minus prop_hwm: how far the view delta trails capture, CSNs.",
-            ),
-            view_staleness: meter.gauge(
-                "rolljoin_view_staleness_csn",
-                "capture_hwm minus mat_time: how far the materialized view trails, CSNs.",
-            ),
-            scan_cache_hits: cache("hit"),
-            scan_cache_misses: cache("miss"),
-            delta_index_probes: meter.counter_l(
-                "rolljoin_delta_index_total",
-                Some(("decision", "probe")),
-                "Pending delta slots planned, by keyed-index decision.",
-            ),
-            delta_index_scans: meter.counter_l(
-                "rolljoin_delta_index_total",
-                Some(("decision", "scan")),
-                "Pending delta slots planned, by keyed-index decision.",
-            ),
-            delta_index_probe_rows: meter.counter(
-                "rolljoin_delta_index_probe_rows_total",
-                "Rows fetched through keyed delta-index probes.",
-            ),
-            delta_postings_bytes: meter.gauge(
-                "rolljoin_delta_postings_bytes",
-                "Approximate heap bytes held by keyed delta-index postings.",
             ),
         }
     }
@@ -215,25 +209,65 @@ impl CoreMeters {
         }
     }
 
-    /// Mirror the scan-level φ-compaction counters from [`PropStatsSnapshot`].
+    /// Render the propagation counters from one [`PropStatsSnapshot`]
+    /// (absolute fold: [`crate::PropStats`] owns the counts).
     pub fn fold_prop_stats(&self, meter: &Meter, s: &PropStatsSnapshot) {
-        meter
-            .counter(
-                "rolljoin_scan_compact_rows_in_total",
-                "Raw delta rows that entered scan-level φ-compaction.",
-            )
-            .set(s.compact_rows_in);
-        meter
-            .counter(
-                "rolljoin_scan_compact_rows_saved_total",
-                "Rows eliminated by scan-level φ-compaction.",
-            )
-            .set(s.compact_rows_saved);
+        for &(name, help, key, series) in PROP_FAMILIES {
+            for &(value, field) in series {
+                let label = (!key.is_empty()).then_some((key, value));
+                meter.counter_l(name, label, help).set(field(s));
+            }
+        }
         meter
             .gauge(
                 "rolljoin_max_txn_rows",
                 "Largest row count read by any single propagation transaction.",
             )
             .set(s.max_txn_rows as i64);
+    }
+
+    /// Set the frontier gauges: the three frontiers, the lag gauges
+    /// (saturating — apply and propagation commits themselves advance the
+    /// engine clock past the capture HWM, so the raw differences can
+    /// transiently run negative), and the postings-memory gauge.
+    pub fn fold_frontiers(
+        &self,
+        meter: &Meter,
+        capture_hwm: u64,
+        prop_hwm: u64,
+        mat_time: u64,
+        postings_bytes: u64,
+    ) {
+        let set = |name, help, v: u64| meter.gauge(name, help).set(v as i64);
+        set(
+            "rolljoin_capture_hwm_csn",
+            "Log-capture high-water mark, CSNs.",
+            capture_hwm,
+        );
+        set(
+            "rolljoin_prop_hwm_csn",
+            "View-delta high-water mark (min tcomp, Theorem 4.3), CSNs.",
+            prop_hwm,
+        );
+        set(
+            "rolljoin_mat_time_csn",
+            "Materialization time of the view, CSNs.",
+            mat_time,
+        );
+        set(
+            "rolljoin_propagation_lag_csn",
+            "capture_hwm minus prop_hwm: how far the view delta trails capture, CSNs.",
+            capture_hwm.saturating_sub(prop_hwm),
+        );
+        set(
+            "rolljoin_view_staleness_csn",
+            "capture_hwm minus mat_time: how far the materialized view trails, CSNs.",
+            capture_hwm.saturating_sub(mat_time),
+        );
+        set(
+            "rolljoin_delta_postings_bytes",
+            "Approximate heap bytes held by keyed delta-index postings.",
+            postings_bytes,
+        );
     }
 }

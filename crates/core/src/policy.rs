@@ -23,18 +23,18 @@ pub enum CompactionPolicy {
     Off,
     /// φ-reduce freshly materialized delta ranges before they enter the
     /// scan cache, so joins, build sides, and cache memory all see net
-    /// churn instead of raw churn.
-    OnScan,
-    /// Everything [`CompactionPolicy::OnScan`] does, plus a background
-    /// compactor ([`crate::driver::spawn_compaction_driver`]) that
-    /// rewrites store history below the global LWM in place whenever a
-    /// store holds at least this many records.
+    /// churn instead of raw churn; and let
+    /// [`MaintCtx::compact_stores`] (run by
+    /// [`crate::driver::spawn_compaction_driver`], or by the caller)
+    /// rewrite store history below the global LWM in place whenever a
+    /// store holds at least this many records (clamped to ≥ 1).
+    /// `Background(1)` with no `compact_stores` call is scan-level
+    /// compaction alone.
     Background(usize),
 }
 
 impl CompactionPolicy {
     /// Should freshly materialized delta ranges be φ-reduced at scan time?
-    /// `Background` subsumes `OnScan` — it is the strictly stronger policy.
     pub fn compact_on_scan(&self) -> bool {
         !matches!(self, CompactionPolicy::Off)
     }
@@ -53,27 +53,25 @@ impl CompactionPolicy {
 /// run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTuning {
-    /// Worker threads for the parallel propagation executor. `1` keeps the
-    /// original sequential `DeltaWorker` path; `> 1` runs independent
-    /// constituent queries concurrently, each as its own strict-2PL
-    /// transaction.
+    /// Size of the `DeltaWorker` pool that runs the independent
+    /// constituent queries of each round concurrently, each as its own
+    /// strict-2PL transaction. A round that would use one worker runs on
+    /// the calling thread.
     pub workers: usize,
     /// Index-probe-vs-scan pushdown threshold: probe an indexed base slot
     /// only while `delta keys × ratio < distinct table keys`; otherwise
     /// scan. Larger values scan sooner.
     pub probe_scan_ratio: usize,
-    /// Let delta slots participate in the keyed probe cascade: a pending
-    /// `σ_{a,b}(Δ^R)` slot whose join column carries a keyed time-range
-    /// index is probed by an already-fetched neighbor's keys instead of
-    /// range-scanned. Off reproduces the fetch-every-delta-range-first
-    /// behavior.
-    pub delta_probe: bool,
-    /// Probe-vs-scan threshold for delta slots. Unlike the base-side
+    /// Probe-vs-scan threshold for delta slots: a pending `σ_{a,b}(Δ^R)`
+    /// slot whose join column carries a keyed time-range index is probed
+    /// by an already-fetched neighbor's keys instead of range-scanned
+    /// when probing pays (a slot without a delta index is always
+    /// range-scanned). Unlike the base-side
     /// heuristic (key count × ratio vs distinct keys), the delta side has
     /// an *exact* matching-row count from posting-list slice lengths, so
     /// the rule is `estimated rows × ratio < range rows`. Larger values
     /// scan sooner; `1` probes whenever the keyed slice is strictly
-    /// smaller than the range.
+    /// smaller than the range; `usize::MAX` probes only empty slices.
     pub delta_probe_ratio: usize,
     /// Lock granularity for base-table reads and writes. `Table` is the
     /// seed behavior (whole-table S/X); `Striped(n)` takes intention
@@ -102,7 +100,6 @@ impl Default for ExecTuning {
                 .unwrap_or(1)
                 .min(4),
             probe_scan_ratio: 4,
-            delta_probe: true,
             delta_probe_ratio: 1,
             lock_granularity: LockGranularity::Table,
             compaction: CompactionPolicy::Off,
@@ -112,7 +109,7 @@ impl Default for ExecTuning {
 }
 
 impl ExecTuning {
-    /// Sequential tuning (one worker, default pushdown threshold).
+    /// One-worker tuning: each round of constituent queries runs inline.
     pub fn sequential() -> Self {
         ExecTuning {
             workers: 1,
@@ -129,12 +126,6 @@ impl ExecTuning {
     /// Set the probe-vs-scan threshold (clamped to ≥ 1).
     pub fn with_probe_scan_ratio(mut self, ratio: usize) -> Self {
         self.probe_scan_ratio = ratio.max(1);
-        self
-    }
-
-    /// Enable or disable keyed delta-index probing of delta slots.
-    pub fn with_delta_probe(mut self, on: bool) -> Self {
-        self.delta_probe = on;
         self
     }
 
@@ -315,12 +306,8 @@ mod tests {
         assert_eq!(t.workers, 1);
         assert_eq!(t.probe_scan_ratio, 1);
         assert_eq!(ExecTuning::sequential().with_workers(8).workers, 8);
-        assert!(t.delta_probe, "delta probing is on by default");
         assert_eq!(t.delta_probe_ratio, 1);
-        let t2 = ExecTuning::sequential()
-            .with_delta_probe(false)
-            .with_delta_probe_ratio(0);
-        assert!(!t2.delta_probe);
+        let t2 = ExecTuning::sequential().with_delta_probe_ratio(0);
         assert_eq!(t2.delta_probe_ratio, 1, "ratio clamps to ≥ 1");
         assert_eq!(
             ExecTuning::sequential()
@@ -337,9 +324,8 @@ mod tests {
         );
         assert_eq!(t.compaction, CompactionPolicy::Off);
         assert!(!CompactionPolicy::Off.compact_on_scan());
-        assert!(CompactionPolicy::OnScan.compact_on_scan());
         assert!(CompactionPolicy::Background(100).compact_on_scan());
-        assert_eq!(CompactionPolicy::OnScan.background_threshold(), None);
+        assert_eq!(CompactionPolicy::Off.background_threshold(), None);
         assert_eq!(
             ExecTuning::sequential()
                 .with_compaction(CompactionPolicy::Background(512))

@@ -67,15 +67,17 @@ impl PropQuery {
         self.slots.iter().all(Slot::is_delta)
     }
 
+    /// The delta slots with their intervals, in slot order.
+    pub fn deltas(&self) -> impl Iterator<Item = (usize, TimeInterval)> + '_ {
+        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
+            Slot::Delta(iv) => Some((i, *iv)),
+            Slot::Base => None,
+        })
+    }
+
     /// Latest delta-interval end, if any delta slot exists.
     pub fn max_delta_hi(&self) -> Option<Csn> {
-        self.slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::Delta(iv) => Some(iv.hi),
-                Slot::Base => None,
-            })
-            .max()
+        self.deltas().map(|(_, iv)| iv.hi).max()
     }
 
     /// Replace slot `i` with a delta binding.

@@ -234,7 +234,7 @@ impl RollingPropagator {
             return Ok(None);
         };
         loop {
-            self.worker.run_auto(&self.ctx)?;
+            self.worker.run(&self.ctx)?;
             if let Some(seg) = p.seg.take() {
                 p.t_s += seg;
                 p.rem -= seg;
@@ -283,7 +283,6 @@ impl RollingPropagator {
             self.ctx
                 .meters
                 .record_step(&self.ctx.obs.meter, "rolling", false);
-            self.ctx.refresh_gauges();
         }
         Ok(Some(RollingStep {
             relation: p.rel,
@@ -301,6 +300,11 @@ impl RollingPropagator {
     /// completed first; the new step then proceeds as asked.
     pub fn step_relation(&mut self, i: usize, delta: u64) -> Result<RollingStep> {
         self.finish_pending()?;
+        // The step caches serve the queries of one step. The propagation
+        // HWM, which also scopes them, can stall for many steps under
+        // deferred compensation, so a new step starts them empty.
+        self.ctx.scan_cache.clear();
+        self.ctx.build_cache.clear();
         let n = self.tfwd.len();
         if i >= n {
             return Err(Error::Invalid(format!("relation {i} of {n}")));
@@ -356,7 +360,6 @@ impl RollingPropagator {
                 self.ctx
                     .meters
                     .record_step(&self.ctx.obs.meter, "rolling", true);
-                self.ctx.refresh_gauges();
             }
             return Ok(RollingStep {
                 relation: i,
@@ -443,7 +446,6 @@ impl RollingPropagator {
             // even while idle.
             self.prune_query_lists();
             self.ctx.mv.set_hwm(self.hwm());
-            self.ctx.refresh_gauges();
             return Ok(None);
         }
         let from = self.tfwd[i];
@@ -525,7 +527,6 @@ impl RollingPropagator {
             self.prune_query_lists();
         }
         self.ctx.mv.set_hwm(self.hwm());
-        self.ctx.refresh_gauges();
         Ok(self.hwm())
     }
 }

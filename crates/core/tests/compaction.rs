@@ -1,6 +1,7 @@
 //! φ-equivalence oracle for early compaction: under any update history,
-//! propagation running with `CompactionPolicy::OnScan` or
-//! `CompactionPolicy::Background` must produce a view delta with the same
+//! propagation running with `CompactionPolicy::Background` — scan-level
+//! compaction alone, or with store passes (`compact_stores`) between
+//! steps — must produce a view delta with the same
 //! net effect (`φ`, Definition 4.1) as the uncompacted run, and refresh
 //! from the compacted delta must land the MV exactly on the oracle state.
 //! Compaction changes *how many rows carry* a net effect, never the net
@@ -13,7 +14,8 @@ use proptest::prelude::*;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Schema, TableId, TimeInterval, Tuple};
 use rolljoin_core::{
     compute_delta, materialize, oracle, roll_to, spawn_compaction_driver, CompactionPolicy,
-    DeltaWorker, MaintCtx, MaterializedView, PropQuery, ViewDef,
+    DeltaWorker, MaintCtx, MaterializedView, PropQuery, RollingPropagator, UniformInterval,
+    ViewDef,
 };
 use rolljoin_relalg::{net_effect, JoinSpec, NetEffect};
 use rolljoin_storage::{Engine, LockGranularity};
@@ -109,7 +111,7 @@ fn apply_ops(ctx: &MaintCtx, tables: &[TableId], ops: &[Op]) {
 }
 
 /// Replay `ops` on a fresh n-way chain and propagate the whole history in
-/// `steps` windows under the given compaction policy. Under `Background`
+/// `steps` windows under the given compaction policy. With `store_pass`
 /// the stores are compacted between steps; halfway through, the MV is
 /// rolled to the frontier (a mid-run `roll_to`, which under any non-`Off`
 /// policy also φ-compacts the view delta below the new apply position).
@@ -120,6 +122,7 @@ fn run_chain(
     n: usize,
     ops: &[Op],
     policy: CompactionPolicy,
+    store_pass: bool,
     workers: usize,
     steps: usize,
 ) -> (MaintCtx, Csn, Csn, NetEffect) {
@@ -145,7 +148,7 @@ fn run_chain(
         if s == steps / 2 {
             roll_to(&ctx, frontier).unwrap();
         }
-        if matches!(policy, CompactionPolicy::Background(_)) {
+        if store_pass {
             ctx.compact_stores().unwrap();
         }
     }
@@ -171,9 +174,10 @@ fn check_final_state(ctx: &MaintCtx, end: Csn) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// 2..4-way chains: propagation under `OnScan` and `Background(1)`
-    /// (compact as aggressively as possible, with mid-run rolls and
-    /// between-step store compaction) φ-matches the uncompacted run on
+    /// 2..4-way chains: propagation under `Background(1)` with scan-level
+    /// compaction alone, and with store passes (compact as aggressively
+    /// as possible, with mid-run rolls and between-step store
+    /// compaction), φ-matches the uncompacted run on
     /// the same history, and refresh from the compacted delta hits the
     /// oracle at the end of history.
     #[test]
@@ -191,23 +195,28 @@ proptest! {
             .cloned()
             .collect();
         let (_, mat_off, end_off, phi_off) =
-            run_chain("co", n, &ops, CompactionPolicy::Off, workers, 1);
+            run_chain("co", n, &ops, CompactionPolicy::Off, false, workers, 1);
         let (ctx_scan, mat_s, end_s, phi_scan) =
-            run_chain("cs", n, &ops, CompactionPolicy::OnScan, workers, steps);
+            run_chain("cs", n, &ops, CompactionPolicy::Background(1), false, workers, steps);
         let (ctx_bg, mat_b, end_b, phi_bg) =
-            run_chain("cb", n, &ops, CompactionPolicy::Background(1), workers, steps);
+            run_chain("cb", n, &ops, CompactionPolicy::Background(1), true, workers, steps);
         prop_assert_eq!((mat_off, end_off), (mat_s, end_s), "identical histories");
         prop_assert_eq!((mat_off, end_off), (mat_b, end_b), "identical histories");
-        prop_assert_eq!(&phi_off, &phi_scan, "φ(OnScan) ≠ φ(Off)");
+        prop_assert_eq!(&phi_off, &phi_scan, "φ(on-scan) ≠ φ(Off)");
         prop_assert_eq!(&phi_off, &phi_bg, "φ(Background) ≠ φ(Off)");
         check_final_state(&ctx_scan, end_s)?;
         check_final_state(&ctx_bg, end_b)?;
     }
 }
 
-/// Scan-level compaction visibly reduces what the joins read: a hot key
-/// churned up and down nets to a single surviving insert, and the OnScan
-/// run reports the eliminated rows while producing the same view delta.
+/// Scan-level compaction visibly reduces what the joins read, and only
+/// where it cannot move a view-delta timestamp. A hot key churned up and
+/// down on R nets to a single surviving insert. Propagating the window
+/// that holds only S's insert runs the compensation `ΔR ⋈ ΔS`, whose R
+/// rows all lie above ΔS's interval: they never supply a result
+/// timestamp, so they collapse. The next window's forward query reads the
+/// same churn as its only delta slot and keeps it raw, so the view delta
+/// stays a timed delta at every CSN, not only at window ends.
 #[test]
 fn on_scan_compaction_shrinks_hot_key_churn() {
     let build = |policy| {
@@ -224,7 +233,7 @@ fn on_scan_compaction_shrinks_hot_key_churn() {
         // Matching row on the far side so the hot key joins.
         let mut txn = ctx.engine.begin();
         txn.insert(tables[1], tup![7, 7]).unwrap();
-        txn.commit().unwrap();
+        let s1 = txn.commit().unwrap();
         // Hot-key churn on the near side: 30 insert/delete pairs + 1 net insert.
         for _ in 0..30 {
             let mut txn = ctx.engine.begin();
@@ -238,8 +247,16 @@ fn on_scan_compaction_shrinks_hot_key_churn() {
         txn.insert(tables[0], tup![1, 7]).unwrap();
         txn.commit().unwrap();
         let end = ctx.engine.current_csn();
-        compute_delta(&ctx, &PropQuery::all_base(2), 1, &[mat; 2], end).unwrap();
-        ctx.mv.set_hwm(end);
+        for (lo, hi) in [(mat, s1), (s1, end)] {
+            compute_delta(&ctx, &PropQuery::all_base(2), 1, &[lo; 2], hi).unwrap();
+            ctx.mv.set_hwm(hi);
+        }
+        for t in mat + 1..=end {
+            assert!(
+                oracle::timed_delta_holds(&ctx.engine, &ctx.mv, mat, t).unwrap(),
+                "view delta is not a timed delta at t={t} under {policy:?}"
+            );
+        }
         let vd = ctx
             .engine
             .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, end))
@@ -247,7 +264,7 @@ fn on_scan_compaction_shrinks_hot_key_churn() {
         (ctx, net_effect(vd))
     };
     let (ctx_off, phi_off) = build(CompactionPolicy::Off);
-    let (ctx_on, phi_on) = build(CompactionPolicy::OnScan);
+    let (ctx_on, phi_on) = build(CompactionPolicy::Background(1));
     assert_eq!(phi_off, phi_on, "φ must be preserved");
     assert_eq!(phi_on[&tup![1, 7]], 1);
     let off = ctx_off.stats.snapshot();
@@ -263,6 +280,67 @@ fn on_scan_compaction_shrinks_hot_key_churn() {
         "joins read net churn ({} < {})",
         on.delta_rows_read,
         off.delta_rows_read
+    );
+}
+
+/// Rolling propagation under scan-level compaction: per-relation
+/// frontiers diverge, so compensation queries read delta ranges that
+/// start below the other slot's range (the executor cuts them) or extend
+/// past it (the executor compacts the excess). The view delta must stay a
+/// timed delta at every CSN up to the HWM — the property `roll_to` relies
+/// on — and match the uncompacted run's net effect.
+#[test]
+fn rolling_scan_compaction_keeps_a_timed_delta() {
+    for n in [2, 3] {
+        rolling_timed_delta(n);
+    }
+}
+
+fn rolling_timed_delta(n: usize) {
+    let build = |policy| {
+        let (ctx, tables) = chain(&format!("rc{}n{n}", policy == CompactionPolicy::Off), n);
+        let ctx = ctx.with_compaction(policy);
+        let mat = materialize(&ctx).unwrap();
+        let mut roller = RollingPropagator::new(ctx.clone(), mat);
+        let mut policy_w = UniformInterval(5);
+        // Hot-key churn on both sides, most of it cancelling, with rolling
+        // steps interleaved so the frontiers and execution times stagger.
+        for round in 0..12i64 {
+            for j in 0..4i64 {
+                let side = (round + j) as usize % n;
+                let t = tup![(round + j) % 2, j % 2];
+                let mut txn = ctx.engine.begin();
+                txn.insert(tables[side], t.clone()).unwrap();
+                txn.commit().unwrap();
+                if j != 3 {
+                    let mut txn = ctx.engine.begin();
+                    txn.delete_one(tables[side], &t).unwrap();
+                    txn.commit().unwrap();
+                }
+            }
+            roller.step(&mut policy_w).unwrap();
+        }
+        ctx.engine.capture_catch_up().unwrap();
+        let now = ctx.engine.current_csn();
+        let hwm = roller.drain_to(now, &mut policy_w).unwrap();
+        for t in mat + 1..=hwm {
+            assert!(
+                oracle::timed_delta_holds(&ctx.engine, &ctx.mv, mat, t).unwrap(),
+                "view delta is not a timed delta at t={t} under {policy:?}"
+            );
+        }
+        let vd = ctx
+            .engine
+            .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, hwm))
+            .unwrap();
+        (ctx, net_effect(vd))
+    };
+    let (_, phi_off) = build(CompactionPolicy::Off);
+    let (ctx_on, phi_on) = build(CompactionPolicy::Background(1));
+    assert_eq!(phi_off, phi_on, "φ must be preserved");
+    assert!(
+        ctx_on.stats.snapshot().compact_rows_saved > 0,
+        "scan compaction fired"
     );
 }
 
@@ -363,7 +441,7 @@ fn background_compactor_with_concurrent_updaters_matches_oracle() {
         }
         worker.enqueue(PropQuery::all_base(N), 1, vec![*frontier; N], end);
         loop {
-            match worker.run_auto(&ctx) {
+            match worker.run(&ctx) {
                 Ok(()) => break,
                 Err(Error::LockTimeout { .. }) => continue,
                 Err(e) => panic!("propagation failed: {e}"),

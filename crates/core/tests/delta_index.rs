@@ -116,16 +116,17 @@ fn apply_ops(ctx: &MaintCtx, tables: &[TableId], ops: &[Op]) {
 
 /// Replay `ops` on a fresh n-way chain and propagate the whole history in
 /// `steps` windows, with delta slots resolved by keyed index probes
-/// (`indexed`) or always by full range scans. Under `Background` the
-/// stores are compacted between steps and the MV is rolled to the frontier
-/// halfway through — so probes run against posting lists that have been
-/// remapped and rebuilt mid-flight. Returns the context, materialization
-/// time, history end, and `φ` of the full produced view delta.
+/// (`indexed`) or always by full range scans (no delta indexes). The
+/// compaction arm is the policy plus whether the stores are compacted
+/// between steps; the MV is rolled to the frontier halfway through — so
+/// probes run against posting lists that have been remapped and rebuilt
+/// mid-flight. Returns the context, materialization time, history end,
+/// and `φ` of the full produced view delta.
 fn run_chain(
     name: &str,
     n: usize,
     ops: &[Op],
-    policy: CompactionPolicy,
+    (policy, store_pass): (CompactionPolicy, bool),
     workers: usize,
     steps: usize,
     indexed: bool,
@@ -134,8 +135,7 @@ fn run_chain(
     let ctx = ctx.with_tuning(
         ExecTuning::default()
             .with_workers(workers)
-            .with_compaction(policy)
-            .with_delta_probe(indexed),
+            .with_compaction(policy),
     );
     let mat = materialize(&ctx).unwrap();
     apply_ops(&ctx, &tables, ops);
@@ -157,7 +157,7 @@ fn run_chain(
         if s == steps / 2 {
             roll_to(&ctx, frontier).unwrap();
         }
-        if matches!(policy, CompactionPolicy::Background(_)) {
+        if store_pass {
             ctx.compact_stores().unwrap();
         }
     }
@@ -200,19 +200,19 @@ proptest! {
             })
             .cloned()
             .collect();
-        for (tag, policy) in [
-            ("off", CompactionPolicy::Off),
-            ("scan", CompactionPolicy::OnScan),
-            ("bg", CompactionPolicy::Background(1)),
+        for (tag, arm) in [
+            ("off", (CompactionPolicy::Off, false)),
+            ("scan", (CompactionPolicy::Background(1), false)),
+            ("bg", (CompactionPolicy::Background(1), true)),
         ] {
             let (_, mat_s, end_s, phi_scan) = run_chain(
-                &format!("ds_{tag}"), n, &ops, policy, workers, steps, false,
+                &format!("ds_{tag}"), n, &ops, arm, workers, steps, false,
             );
             let (ctx_idx, mat_i, end_i, phi_idx) = run_chain(
-                &format!("di_{tag}"), n, &ops, policy, workers, steps, true,
+                &format!("di_{tag}"), n, &ops, arm, workers, steps, true,
             );
             prop_assert_eq!((mat_s, end_s), (mat_i, end_i), "identical histories");
-            prop_assert_eq!(&phi_scan, &phi_idx, "φ(probed) ≠ φ(scanned) under {:?}", policy);
+            prop_assert_eq!(&phi_scan, &phi_idx, "φ(probed) ≠ φ(scanned) under {}", tag);
             check_final_state(&ctx_idx, end_i)?;
         }
     }
@@ -227,11 +227,7 @@ proptest! {
 fn recursion_probes_cut_delta_rows_read() {
     let build = |indexed: bool| {
         let (ctx, tables) = chain(if indexed { "rp1" } else { "rp0" }, 3, indexed);
-        let ctx = ctx.with_tuning(
-            ExecTuning::sequential()
-                .with_delta_probe(indexed)
-                .with_compaction(CompactionPolicy::Off),
-        );
+        let ctx = ctx.with_tuning(ExecTuning::sequential().with_compaction(CompactionPolicy::Off));
         let mat = materialize(&ctx).unwrap();
         // Deep distinct-key history on R2 and R3 (one commit each → deep
         // CSN history), then a single matching R1 row at the very end.
@@ -260,7 +256,7 @@ fn recursion_probes_cut_delta_rows_read() {
     assert_eq!(phi_scan, phi_idx, "φ must be preserved");
     let scan = ctx_scan.stats.snapshot();
     let idx = ctx_idx.stats.snapshot();
-    assert_eq!(scan.delta_probe_decisions, 0, "probing off records nothing");
+    assert_eq!(scan.delta_probe_decisions, 0, "no delta index, no probes");
     assert!(
         idx.delta_probe_decisions > 0,
         "keyed probes fired through the recursion"
@@ -325,7 +321,7 @@ fn probes_with_concurrent_updaters_and_compactor_match_oracle() {
         }
         worker.enqueue(PropQuery::all_base(N), 1, vec![*frontier; N], end);
         loop {
-            match worker.run_auto(&ctx) {
+            match worker.run(&ctx) {
                 Ok(()) => break,
                 Err(Error::LockTimeout { .. }) => continue,
                 Err(e) => panic!("propagation failed: {e}"),

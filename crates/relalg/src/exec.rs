@@ -245,6 +245,11 @@ impl BuildCache {
         }
     }
 
+    /// Drop every entry (a new step starts).
+    pub fn clear(&self) {
+        self.inner.write().indexes.clear();
+    }
+
     /// Get the index for `(table, interval, version, keys)`, building it
     /// from `rows` on a miss. `version` is the delta store's content
     /// version at fetch time — a compaction bumps it and invalidates

@@ -143,13 +143,17 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
 /// of one propagation step is materialized once and shared; cache entries
 /// are keyed on the delta store's content version, so a prune or
 /// φ-compaction between steps invalidates them instead of serving stale
-/// rows. Non-delta sources are fetched fresh each time (base reads are
-/// transactional and must see the executing transaction's state).
+/// rows. Other sources are fetched fresh each time: base reads are
+/// transactional and must see the executing transaction's state, and a
+/// keyed delta probe's result is key-set-specific.
 ///
 /// With `compact` set, a freshly materialized delta range is φ-reduced
 /// ([`crate::net_effect::compact_rows`]) *before* it enters the cache, so
 /// every consumer of the entry — join probes, build sides, the cache
-/// itself — works on net churn rather than raw churn.
+/// itself — works on net churn rather than raw churn. The compacted form
+/// carries its own content tag (`2 · version + 1`, raw ranges `2 ·
+/// version`), so the scan cache and the [`crate::BuildCache`] never serve
+/// one form for the other.
 ///
 /// Returns the slot input, whether the rows came from the cache, and the
 /// raw (pre-compaction) row count of the range, for stats.
@@ -162,9 +166,9 @@ pub fn fetch_cached(
 ) -> Result<(SlotInput, bool, usize)> {
     match source {
         SlotSource::Delta(table, interval) => {
-            let version = engine.delta_store(*table)?.version();
+            let tag = 2 * engine.delta_store(*table)?.version() + compact as u64;
             let mut raw_rows = 0usize;
-            let (rows, hit) = cache.get_or_fetch(*table, *interval, version, || {
+            let (rows, hit) = cache.get_or_fetch(*table, *interval, tag, || {
                 let fetched = engine.delta_range(*table, *interval)?;
                 raw_rows = fetched.len();
                 if compact {
@@ -177,23 +181,10 @@ pub fn fetch_cached(
                 raw_rows = rows.len();
             }
             Ok((
-                SlotInput::Shared(rows, *table, *interval, version),
+                SlotInput::Shared(rows, *table, *interval, tag),
                 hit,
                 raw_rows,
             ))
-        }
-        // Keyed delta probes are key-set-specific, so they bypass the scan
-        // cache (an entry would only ever serve the query that made it) but
-        // still get φ-compacted so downstream joins see net churn.
-        keyed @ SlotSource::DeltaKeyed { .. } => {
-            let fetched = fetch(engine, txn, keyed)?;
-            let raw_rows = fetched.len();
-            let rows = if compact {
-                crate::net_effect::compact_rows(&fetched).0
-            } else {
-                fetched
-            };
-            Ok((SlotInput::Owned(rows), false, raw_rows))
         }
         other => {
             let rows = fetch(engine, txn, other)?;
@@ -311,6 +302,10 @@ mod tests {
         assert!(hit);
         assert_eq!(raw, 2);
         assert_eq!(again.len(), 2);
+        // The raw form of the same range is a different entry.
+        let (raw_form, hit, _) = fetch_cached(&e, &mut txn, &src, &cache, false).unwrap();
+        assert!(!hit, "raw and compacted forms never share an entry");
+        assert_eq!(raw_form.len(), 4);
         // Min-timestamp rule: the surviving tup![1] row carries ts = 1.
         match &input {
             SlotInput::Shared(rows, ..) => {
@@ -373,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_cached_keyed_delta_is_owned_and_compacted() {
+    fn fetch_cached_keyed_delta_is_owned() {
         let (e, t) = engine();
         // Churn on key 1 netting to zero, plus a surviving key-2 row.
         let mut w = e.begin();
@@ -395,8 +390,7 @@ mod tests {
         let mut txn = e.begin();
         let (input, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, true).unwrap();
         assert!(!hit, "keyed probes bypass the scan cache");
-        assert_eq!(raw, 3, "raw churn reported for stats");
-        assert_eq!(input.len(), 1, "φ-compaction nets the key-1 churn away");
+        assert_eq!((raw, input.len()), (3, 3), "fetched as is");
         assert!(matches!(input, SlotInput::Owned(_)));
         assert_eq!(cache.stats().misses, 0, "scan cache untouched");
     }

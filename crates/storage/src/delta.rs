@@ -579,6 +579,40 @@ impl ViewDeltaStore {
         Ok(())
     }
 
+    /// Sum the same-tuple records of each bucket in `ts` (first-seen
+    /// order), dropping zero sums. Exact: records at one timestamp are one
+    /// multiset, and every reader nets counts per tuple. Called when a
+    /// writing transaction commits, so no undo handle points into a
+    /// merged bucket.
+    pub fn merge_buckets(&self, ts: impl IntoIterator<Item = Csn>) {
+        let mut rows = self.rows.write();
+        for ts in ts {
+            let Some(bucket) = rows.get_mut(&ts) else {
+                continue;
+            };
+            if bucket.len() < 2 {
+                continue;
+            }
+            let mut pos: HashMap<Tuple, usize> = HashMap::with_capacity(bucket.len());
+            let mut merged: Vec<(i64, Tuple)> = Vec::with_capacity(bucket.len());
+            for (count, tuple) in bucket.drain(..) {
+                match pos.get(&tuple) {
+                    Some(&i) => merged[i].0 += count,
+                    None => {
+                        pos.insert(tuple.clone(), merged.len());
+                        merged.push((count, tuple));
+                    }
+                }
+            }
+            merged.retain(|(c, _)| *c != 0);
+            if merged.is_empty() {
+                rows.remove(&ts);
+            } else {
+                *bucket = merged;
+            }
+        }
+    }
+
     /// `σ_{a,b}` over the view delta: records with timestamp in `(a, b]`,
     /// as [`DeltaRow`]s.
     pub fn range(&self, interval: TimeInterval) -> Vec<DeltaRow> {
@@ -776,6 +810,11 @@ impl ScanCache {
             inner.epoch = hwm;
             inner.ranges.clear();
         }
+    }
+
+    /// Drop every entry (a new step starts).
+    pub fn clear(&self) {
+        self.inner.write().ranges.clear();
     }
 
     /// Look up `(table, interval)` at the store's current content

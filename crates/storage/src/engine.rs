@@ -31,7 +31,7 @@ use crate::uow::UnitOfWork;
 use crate::wal::{Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, Schema, TableId, TimeInterval, Tuple, TxnId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1126,8 +1126,31 @@ impl Txn {
             csn
         };
         self.active = false;
+        self.merge_vd_buckets();
         self.release_locks();
         Ok(csn)
+    }
+
+    /// Consolidate the view-delta buckets this transaction wrote (under
+    /// its still-held X lock): a compensation query writes one record per
+    /// change of its earliest delta slot, and successive queries revisit
+    /// the same changes' timestamps.
+    fn merge_vd_buckets(&mut self) {
+        let mut touched: BTreeMap<TableId, Vec<Csn>> = BTreeMap::new();
+        for op in self.undo.drain(..) {
+            if let UndoOp::Vd { table, undo } = op {
+                touched.entry(table).or_default().push(undo.ts);
+            }
+        }
+        for (table, mut ts) in touched {
+            ts.sort_unstable();
+            ts.dedup();
+            if let Ok(entry) = self.engine.entry(table) {
+                if let TableStore::ViewDelta(vd) = &entry.store {
+                    vd.merge_buckets(ts);
+                }
+            }
+        }
     }
 
     /// Abort: undo all changes, release locks.
@@ -1338,6 +1361,37 @@ mod tests {
         let rows = e.vd_range(vd, TimeInterval::new(0, 10)).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].ts, Some(3));
+    }
+
+    #[test]
+    fn view_delta_commit_merges_same_timestamp_records() {
+        let (e, _t) = engine_with_table();
+        let vd = e
+            .create_view_delta("vd", Schema::new([("a", ColumnType::Int)]))
+            .unwrap();
+        let mut txn = e.begin();
+        txn.vd_insert(vd, 3, 2, tup![1]).unwrap();
+        txn.vd_insert(vd, 3, 1, tup![2]).unwrap();
+        txn.commit().unwrap();
+        // A later transaction revisits timestamp 3: same-tuple records
+        // merge at its commit, a zero sum disappears, other timestamps
+        // stay apart.
+        let mut txn = e.begin();
+        txn.vd_insert(vd, 3, -1, tup![1]).unwrap();
+        txn.vd_insert(vd, 3, -1, tup![2]).unwrap();
+        txn.vd_insert(vd, 5, 1, tup![1]).unwrap();
+        txn.commit().unwrap();
+        let rows = e.vd_range(vd, TimeInterval::new(0, 10)).unwrap();
+        let got: Vec<_> = rows
+            .iter()
+            .map(|r| (r.ts, r.count, r.tuple.clone()))
+            .collect();
+        assert_eq!(got, vec![(Some(3), 1, tup![1]), (Some(5), 1, tup![1])]);
+        // An aborted revisit leaves the merged bucket intact.
+        let mut txn = e.begin();
+        txn.vd_insert(vd, 3, 7, tup![1]).unwrap();
+        txn.abort();
+        assert_eq!(e.vd_len(vd).unwrap(), 2);
     }
 
     #[test]

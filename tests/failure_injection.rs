@@ -152,9 +152,17 @@ fn suspended_propagation_freezes_hwm_then_recovers() {
 
 #[test]
 fn maintenance_survives_lock_timeouts() {
-    // A hostile writer holds an X lock on a base table long enough for the
-    // propagation transaction to time out; the driver must retry and
-    // eventually finish correctly.
+    // Both pool sizes explicitly: the default worker count depends on the
+    // machine, and a pool of one runs its units inline.
+    for workers in [1, 2] {
+        survive_lock_timeouts(workers);
+    }
+}
+
+/// A hostile writer holds an X lock on a base table long enough for the
+/// propagation transaction to time out; the driver must retry and
+/// eventually finish correctly.
+fn survive_lock_timeouts(workers: usize) {
     let w = TwoWay::setup("timeout").unwrap();
     let engine = rolljoin::storage::Engine::with_lock_timeout(Duration::from_millis(40));
     // Rebuild the scenario on the short-timeout engine.
@@ -190,7 +198,7 @@ fn maintenance_survives_lock_timeouts() {
     )
     .unwrap();
     let mv = rolljoin::core::MaterializedView::register(&engine, view).unwrap();
-    let ctx = MaintCtx::new(engine.clone(), mv);
+    let ctx = MaintCtx::new(engine.clone(), mv).with_workers(workers);
     let mat = materialize(&ctx).unwrap();
 
     let mut txn = engine.begin();

@@ -1,9 +1,9 @@
-//! Determinism oracle for the parallel propagation executor: under any
-//! update history, `ComputeDelta` run by the worker pool must produce a
-//! view delta with the same net effect (`φ`, Definition 4.1) as the
-//! sequential executor, and point-in-time refresh from the parallel
-//! delta must land the MV exactly on the oracle state at random roll
-//! targets (Definition 4.2 / Theorem 4.1).
+//! Pool size does not change φ: under any update history, `ComputeDelta`
+//! run by a `DeltaWorker` pool of N workers must produce a view delta with
+//! the same net effect (`φ`, Definition 4.1) as a pool of one (which runs
+//! its units inline), and point-in-time refresh from either delta must
+//! land the MV exactly on the oracle state at random roll targets
+//! (Definition 4.2 / Theorem 4.1).
 //!
 //! This is the property that makes the parallelism safe to ship: unit
 //! execution order changes each constituent query's execution time, but
@@ -106,7 +106,7 @@ fn check_roll_targets(
         roll_to(ctx, t).unwrap();
         let got = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
         let want = oracle::view_at(&ctx.engine, &ctx.mv.view, t).unwrap();
-        prop_assert_eq!(got, want, "parallel MV diverged from oracle at t={}", t);
+        prop_assert_eq!(got, want, "MV diverged from oracle at t={}", t);
     }
     Ok(())
 }
@@ -114,10 +114,10 @@ fn check_roll_targets(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Two-way: parallel `ComputeDelta` φ-matches sequential, and refresh
-    /// from the parallel delta hits the oracle at random targets.
+    /// Two-way: a pool of N φ-matches a pool of one, and refresh from
+    /// either delta hits the oracle at random targets.
     #[test]
-    fn parallel_matches_sequential_two_way(
+    fn pool_size_preserves_phi_two_way(
         ops in arb_ops(2, 30),
         workers in 2usize..9,
         stops in prop::collection::vec(any::<prop::sample::Index>(), 1..4),
@@ -138,24 +138,26 @@ proptest! {
                 .unwrap();
             (ctx, mat, end, net_effect(vd))
         };
-        let (_, mat_s, end_s, phi_seq) = run(1);
-        let (ctx, mat, end, phi_par) = run(workers);
+        let (ctx_one, mat_s, end_s, phi_one) = run(1);
+        let (ctx, mat, end, phi_pool) = run(workers);
         prop_assert_eq!((mat_s, end_s), (mat, end), "identical histories");
-        prop_assert_eq!(phi_seq, phi_par, "φ(parallel) ≠ φ(sequential)");
+        prop_assert_eq!(phi_one, phi_pool, "φ(pool of {}) ≠ φ(pool of one)", workers);
+        check_roll_targets(&ctx_one, mat, end, &stops)?;
         check_roll_targets(&ctx, mat, end, &stops)?;
     }
 
     /// Three-way chain.
     #[test]
-    fn parallel_matches_sequential_chain3(
+    fn pool_size_preserves_phi_chain3(
         ops in arb_ops(3, 24),
         workers in 2usize..9,
         stops in prop::collection::vec(any::<prop::sample::Index>(), 1..4),
     ) {
-        let (_, mat_s, end_s, phi_seq) = run_chain(3, &ops, 1);
-        let (ctx, mat, end, phi_par) = run_chain(3, &ops, workers);
+        let (ctx_one, mat_s, end_s, phi_one) = run_chain(3, &ops, 1);
+        let (ctx, mat, end, phi_pool) = run_chain(3, &ops, workers);
         prop_assert_eq!((mat_s, end_s), (mat, end), "identical histories");
-        prop_assert_eq!(phi_seq, phi_par, "φ(parallel) ≠ φ(sequential)");
+        prop_assert_eq!(phi_one, phi_pool, "φ(pool of {}) ≠ φ(pool of one)", workers);
+        check_roll_targets(&ctx_one, mat, end, &stops)?;
         check_roll_targets(&ctx, mat, end, &stops)?;
     }
 }
@@ -166,15 +168,16 @@ proptest! {
     /// Four-way chain — T(4) = 64 constituent queries per case, so fewer
     /// cases.
     #[test]
-    fn parallel_matches_sequential_chain4(
+    fn pool_size_preserves_phi_chain4(
         ops in arb_ops(4, 18),
         workers in 2usize..9,
         stops in prop::collection::vec(any::<prop::sample::Index>(), 1..3),
     ) {
-        let (_, mat_s, end_s, phi_seq) = run_chain(4, &ops, 1);
-        let (ctx, mat, end, phi_par) = run_chain(4, &ops, workers);
+        let (ctx_one, mat_s, end_s, phi_one) = run_chain(4, &ops, 1);
+        let (ctx, mat, end, phi_pool) = run_chain(4, &ops, workers);
         prop_assert_eq!((mat_s, end_s), (mat, end), "identical histories");
-        prop_assert_eq!(phi_seq, phi_par, "φ(parallel) ≠ φ(sequential)");
+        prop_assert_eq!(phi_one, phi_pool, "φ(pool of {}) ≠ φ(pool of one)", workers);
+        check_roll_targets(&ctx_one, mat, end, &stops)?;
         check_roll_targets(&ctx, mat, end, &stops)?;
     }
 }
