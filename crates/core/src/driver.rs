@@ -19,7 +19,7 @@ use rolljoin_storage::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Control handle for a background driver thread.
 pub struct DriverHandle {
@@ -107,8 +107,12 @@ pub fn spawn_capture_driver(
 }
 
 /// Spawn the rolling propagate driver: repeatedly performs Fig. 10
-/// iterations (argmin-frontier relation, policy-chosen interval), sleeping
-/// `idle` when there is nothing new to propagate.
+/// iterations (argmin-frontier relation, policy-chosen interval). When
+/// there is nothing new to propagate it waits on the engine's
+/// capture-progress signal for at most `idle`, so a commit is picked up
+/// as soon as capture ingests it; under [`crate::CaptureWait::Block`]
+/// each step covers only captured history ([`MaintCtx::step_bound`]).
+/// Suspension and lock-timeout backoff sleep `idle`.
 pub fn spawn_rolling_driver(
     ctx: MaintCtx,
     t_initial: Csn,
@@ -124,7 +128,10 @@ pub fn spawn_rolling_driver(
             }
             match rp.step(policy.as_mut()) {
                 Ok(Some(_)) => {}
-                Ok(None) => std::thread::sleep(idle),
+                Ok(None) => {
+                    let next = rp.tfwd()[rp.next_relation()] + 1;
+                    rp.ctx().engine.wait_captured(next, Instant::now() + idle);
+                }
                 Err(Error::LockTimeout { .. }) => {
                     // Deadlock-resolution abort: back off and retry.
                     std::thread::sleep(idle);

@@ -49,8 +49,12 @@ pub enum CaptureWait {
     /// when no background capture driver is running.
     #[default]
     Inline,
-    /// Poll until a background capture driver catches up, giving up after
-    /// the timeout (surfaced as [`Error::Internal`]).
+    /// Block until a background capture driver catches up, giving up after
+    /// the timeout (surfaced as [`Error::Internal`]). The wait wakes on
+    /// the engine's capture-progress signal; `poll` only bounds the time
+    /// between re-checks. Propagation steps under this mode cover only
+    /// history capture has already made readable
+    /// ([`MaintCtx::step_bound`]).
     Block { poll: Duration, timeout: Duration },
 }
 
@@ -113,7 +117,9 @@ impl MaintCtx {
         }
     }
 
-    /// Use a blocking capture wait (background capture driver running).
+    /// Use a blocking capture wait (background capture driver running):
+    /// waits wake when capture advances, re-check at least every `poll`,
+    /// and fail after `timeout`.
     pub fn with_blocking_capture(mut self, poll: Duration, timeout: Duration) -> Self {
         self.capture_wait = CaptureWait::Block { poll, timeout };
         self
@@ -229,8 +235,21 @@ impl MaintCtx {
         Ok(report)
     }
 
-    /// Wait until the capture HWM reaches `csn`.
+    /// The latest CSN a propagation step should cover. Under
+    /// [`CaptureWait::Inline`] that is the latest commit (the step
+    /// captures inline); under [`CaptureWait::Block`] it is the capture
+    /// HWM, so a step's forward query never waits for the capture driver.
+    pub fn step_bound(&self) -> Csn {
+        match self.capture_wait {
+            CaptureWait::Inline => self.engine.current_csn(),
+            CaptureWait::Block { .. } => self.engine.capture_hwm(),
+        }
+    }
+
+    /// Wait until the capture HWM reaches `csn`, inside a `capture_wait`
+    /// span so every wait for capture is counted in one place.
     pub fn ensure_captured(&self, csn: Csn) -> Result<()> {
+        let _s = self.obs.span("capture_wait");
         if csn > self.engine.current_csn() {
             return Err(Error::Internal(format!(
                 "cannot capture through CSN {csn}: only {} commits exist",
@@ -250,15 +269,17 @@ impl MaintCtx {
                 Ok(())
             }
             CaptureWait::Block { poll, timeout } => {
-                let start = Instant::now();
-                while self.engine.capture_hwm() < csn {
-                    if start.elapsed() > timeout {
+                let deadline = Instant::now() + timeout;
+                while !self
+                    .engine
+                    .wait_captured(csn, deadline.min(Instant::now() + poll))
+                {
+                    if Instant::now() >= deadline {
                         return Err(Error::Internal(format!(
                             "timed out waiting for capture to reach CSN {csn} (hwm {})",
                             self.engine.capture_hwm()
                         )));
                     }
-                    std::thread::sleep(poll);
                 }
                 Ok(())
             }
@@ -603,10 +624,7 @@ impl MaintCtx {
             }
         }
         let wall_start = Instant::now();
-        {
-            let _s = self.obs.span("capture_wait");
-            self.ensure_captured(hi)?;
-        }
+        self.ensure_captured(hi)?;
         // Step-scope the caches: the propagation HWM only advances when a
         // step completes, so entries live exactly for the step that
         // materialized them and are dropped when the frontier moves past

@@ -112,11 +112,11 @@ impl Propagator {
         Ok(self.t_cur)
     }
 
-    /// Propagate toward the most recent commit in steps of at most
+    /// Propagate toward [`MaintCtx::step_bound`] in steps of at most
     /// `max_delta`, stopping when caught up. Returns the new HWM.
     pub fn step_available(&mut self, max_delta: u64) -> Result<Csn> {
         self.finish_pending()?;
-        let now = self.ctx.engine.current_csn();
+        let now = self.ctx.step_bound();
         while self.t_cur < now {
             let delta = max_delta.min(now - self.t_cur);
             self.step(delta)?;

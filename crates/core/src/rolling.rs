@@ -431,14 +431,15 @@ impl RollingPropagator {
 
     /// One iteration of Fig. 10's loop: pick the relation with the smallest
     /// `tfwd` (ties → lowest index), size its interval with `policy`, and
-    /// run [`RollingPropagator::step_relation`]. Returns `None` when that
-    /// relation is already caught up to the latest commit (nothing to do).
+    /// run [`RollingPropagator::step_relation`]. Intervals end at or below
+    /// [`MaintCtx::step_bound`]. Returns `None` when that relation is
+    /// already caught up to the bound (nothing to do).
     pub fn step(&mut self, policy: &mut dyn IntervalPolicy) -> Result<Option<RollingStep>> {
         if let Some(resumed) = self.finish_pending()? {
             return Ok(Some(resumed));
         }
         let i = self.next_relation();
-        let now = self.ctx.engine.current_csn();
+        let now = self.ctx.step_bound();
         let available = now.saturating_sub(self.tfwd[i]);
         if available == 0 {
             // Caught up. Frontiers may have passed recorded execution

@@ -59,9 +59,9 @@ impl Capture {
     /// Process up to `max_records` WAL records. Returns the number
     /// processed (0 means caught up).
     pub fn step(&mut self, max_records: usize) -> Result<usize> {
-        let records = self.wal.read_from(self.pos)?;
-        let take = records.len().min(max_records);
-        for rec in &records[..take] {
+        let records = self.wal.read_from(self.pos, max_records)?;
+        let take = records.len();
+        for rec in &records {
             self.apply(rec);
         }
         self.pos += take as Lsn;
@@ -69,10 +69,9 @@ impl Capture {
         Ok(take)
     }
 
-    /// Process everything currently in the log.
-    pub fn catch_up(&mut self) -> Result<()> {
-        while self.step(usize::MAX)? > 0 {}
-        Ok(())
+    /// LSN of the next record to process.
+    pub(crate) fn position(&self) -> Lsn {
+        self.pos
     }
 
     fn apply(&mut self, rec: &WalRecord) {
@@ -187,7 +186,7 @@ mod tests {
             csn: 7,
             wallclock_micros: 1,
         });
-        cap.catch_up().unwrap();
+        cap.step(usize::MAX).unwrap();
         assert_eq!(cap.hwm(), 7);
         let r1 = d1.range(rolljoin_common::TimeInterval::new(0, 7));
         assert_eq!(r1.len(), 1);
@@ -218,7 +217,7 @@ mod tests {
             csn: 4,
             wallclock_micros: 1,
         });
-        cap.catch_up().unwrap();
+        cap.step(usize::MAX).unwrap();
         let rows = d1.range(rolljoin_common::TimeInterval::new(0, 4));
         assert_eq!(rows.len(), 2, "one delta row per Apply record");
         assert_eq!((rows[0].count, rows[1].count), (5, -2));
@@ -243,7 +242,7 @@ mod tests {
             csn: 1,
             wallclock_micros: 2,
         });
-        cap.catch_up().unwrap();
+        cap.step(usize::MAX).unwrap();
         assert_eq!(d1.len(), 1);
         assert_eq!(
             d1.range(rolljoin_common::TimeInterval::new(0, 1))[0].tuple,
@@ -265,7 +264,7 @@ mod tests {
             csn: 3,
             wallclock_micros: 1,
         });
-        cap.catch_up().unwrap();
+        cap.step(usize::MAX).unwrap();
         assert_eq!(cap.hwm(), 3);
         assert!(d1.is_empty());
     }
@@ -288,7 +287,7 @@ mod tests {
         assert_eq!(cap.step(6).unwrap(), 6);
         assert_eq!(cap.hwm(), 3);
         assert_eq!(cap.lag_records(), 14);
-        cap.catch_up().unwrap();
+        cap.step(usize::MAX).unwrap();
         assert_eq!(cap.hwm(), 10);
         assert_eq!(d1.len(), 10);
         assert_eq!(cap.totals(), (20, 10));

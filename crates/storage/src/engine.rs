@@ -29,7 +29,7 @@ use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager,
 use crate::table::BaseTable;
 use crate::uow::UnitOfWork;
 use crate::wal::{Wal, WalRecord};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, Schema, TableId, TimeInterval, Tuple, TxnId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -73,6 +73,9 @@ struct EngineInner {
     last_csn: AtomicU64,
     capture: Mutex<Capture>,
     capture_hwm: Arc<AtomicU64>,
+    /// Capture-progress signal: notified whenever the capture HWM
+    /// advances, so waiters block instead of polling.
+    captured: (Mutex<()>, Condvar),
     clock_origin: Instant,
 }
 
@@ -112,6 +115,7 @@ impl Engine {
                 last_csn: AtomicU64::new(0),
                 capture: Mutex::new(Capture::new(wal, capture_hwm.clone())),
                 capture_hwm,
+                captured: (Mutex::new(()), Condvar::new()),
                 clock_origin: Instant::now(),
             }),
         }
@@ -318,17 +322,59 @@ impl Engine {
 
     /// Run capture until it has processed the whole log.
     pub fn capture_catch_up(&self) -> Result<()> {
-        self.inner.capture.lock().catch_up()
+        self.capture_step(usize::MAX).map(|_| ())
     }
 
     /// Process up to `max_records` WAL records; returns number processed.
+    ///
+    /// Capture reads only the log prefix whose commits have published
+    /// their CSNs: a commit appends its `Commit` record before it stores
+    /// its CSN, both under the commit mutex, so the log length read under
+    /// that mutex ends at a published commit. This keeps the capture HWM
+    /// at or below [`Engine::current_csn`].
     pub fn capture_step(&self, max_records: usize) -> Result<usize> {
-        self.inner.capture.lock().step(max_records)
+        let before = self.capture_hwm();
+        let res = {
+            let mut capture = self.inner.capture.lock();
+            let published = {
+                let _g = self.inner.commit_mutex.lock();
+                self.inner.wal.len()
+            };
+            let unread = published.saturating_sub(capture.position());
+            capture.step(max_records.min(unread as usize))
+        };
+        self.signal_capture(before);
+        res
+    }
+
+    /// Wake every [`Engine::wait_captured`] waiter if the HWM moved past
+    /// `before`. Taking the signal mutex orders the notification after
+    /// any waiter's HWM check, so no wake-up is lost.
+    fn signal_capture(&self, before: Csn) {
+        if self.capture_hwm() > before {
+            let (lock, cv) = &self.inner.captured;
+            drop(lock.lock());
+            cv.notify_all();
+        }
     }
 
     /// The capture high-water mark: base deltas are complete through here.
     pub fn capture_hwm(&self) -> Csn {
         self.inner.capture_hwm.load(Ordering::Acquire)
+    }
+
+    /// Block until the capture HWM reaches `csn` or `deadline` passes,
+    /// waking on capture progress rather than polling. Returns whether
+    /// the HWM reached `csn`.
+    pub fn wait_captured(&self, csn: Csn, deadline: Instant) -> bool {
+        let (lock, cv) = &self.inner.captured;
+        let mut guard = lock.lock();
+        while self.capture_hwm() < csn {
+            if cv.wait_until(&mut guard, deadline).timed_out() {
+                return self.capture_hwm() >= csn;
+            }
+        }
+        true
     }
 
     /// Capture lag in WAL records.
@@ -1290,6 +1336,66 @@ mod tests {
         let mut w = e.begin();
         w.insert(t, tup![1, "a"]).unwrap();
         w.commit().unwrap();
+    }
+
+    #[test]
+    fn capture_hwm_never_passes_current_csn_under_concurrent_commits() {
+        let (e, t) = engine_with_table();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (e2, done2) = (e.clone(), done.clone());
+        let capturer = std::thread::spawn(move || {
+            let mut checks = 0u64;
+            while !done2.load(Ordering::Acquire) {
+                e2.capture_step(7).unwrap();
+                let hwm = e2.capture_hwm();
+                let now = e2.current_csn();
+                assert!(hwm <= now, "capture hwm {hwm} passed current csn {now}");
+                checks += 1;
+            }
+            checks
+        });
+        for i in 0..3000 {
+            let mut txn = e.begin();
+            txn.insert(t, tup![i, "x"]).unwrap();
+            txn.commit().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        assert!(capturer.join().unwrap() > 0);
+        e.capture_catch_up().unwrap();
+        assert_eq!(e.capture_hwm(), 3000);
+    }
+
+    #[test]
+    fn wait_captured_wakes_on_capture_progress() {
+        let (e, t) = engine_with_table();
+        let mut txn = e.begin();
+        txn.insert(t, tup![1, "a"]).unwrap();
+        let csn = txn.commit().unwrap();
+        let e2 = e.clone();
+        let capturer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            e2.capture_step(usize::MAX).unwrap();
+        });
+        let start = Instant::now();
+        assert!(e.wait_captured(csn, start + Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_secs(5), "woke by signal");
+        assert!(e.capture_hwm() >= csn);
+        capturer.join().unwrap();
+    }
+
+    #[test]
+    fn wait_captured_gives_up_at_the_deadline() {
+        let (e, t) = engine_with_table();
+        let mut txn = e.begin();
+        txn.insert(t, tup![1, "a"]).unwrap();
+        let csn = txn.commit().unwrap();
+        let start = Instant::now();
+        assert!(!e.wait_captured(csn, start + Duration::from_millis(30)));
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        assert_eq!(e.capture_hwm(), 0);
+        // Already captured: returns at once, even past the deadline.
+        e.capture_catch_up().unwrap();
+        assert!(e.wait_captured(csn, start));
     }
 
     #[test]

@@ -348,12 +348,16 @@ impl Wal {
         self.inner.lock().bytes.len()
     }
 
-    /// Decode and return records `[from, len)`. Capture calls this to tail
-    /// the log.
-    pub fn read_from(&self, from: Lsn) -> Result<Vec<WalRecord>> {
+    /// Decode and return at most `max` records starting at `from`. Capture
+    /// calls this to tail the log; the bound keeps a small capture step
+    /// from decoding the whole unread suffix under the log mutex every
+    /// commit also needs.
+    pub fn read_from(&self, from: Lsn, max: usize) -> Result<Vec<WalRecord>> {
         let inner = self.inner.lock();
-        let mut out = Vec::new();
-        for idx in (from as usize)..inner.offsets.len() {
+        let from = (from as usize).min(inner.offsets.len());
+        let end = from + (inner.offsets.len() - from).min(max);
+        let mut out = Vec::with_capacity(end - from);
+        for idx in from..end {
             let off = inner.offsets[idx];
             out.push(Self::decode_frame(&inner.bytes, off)?.0);
         }
@@ -499,9 +503,24 @@ mod tests {
             wal.append(&rec);
         }
         assert_eq!(wal.len(), 7);
-        assert_eq!(wal.read_from(0).unwrap(), sample());
-        assert_eq!(wal.read_from(3).unwrap(), sample()[3..].to_vec());
-        assert_eq!(wal.read_from(7).unwrap(), vec![]);
+        assert_eq!(wal.read_from(0, usize::MAX).unwrap(), sample());
+        assert_eq!(
+            wal.read_from(3, usize::MAX).unwrap(),
+            sample()[3..].to_vec()
+        );
+        assert_eq!(wal.read_from(7, usize::MAX).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn read_from_stops_at_the_record_limit() {
+        let wal = Wal::new();
+        for rec in sample() {
+            wal.append(&rec);
+        }
+        assert_eq!(wal.read_from(1, 2).unwrap(), sample()[1..3].to_vec());
+        assert_eq!(wal.read_from(5, 10).unwrap(), sample()[5..].to_vec());
+        assert_eq!(wal.read_from(2, 0).unwrap(), vec![]);
+        assert_eq!(wal.read_from(9, 3).unwrap(), vec![]);
     }
 
     #[test]
