@@ -40,6 +40,6 @@ for wl in star-skew churn-cancel chain-all; do
 done
 
 echo "== docs =="
-cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "CI OK"

@@ -5,7 +5,7 @@
 //! through every propagation join, and almost all of it cancels. φ is
 //! linear over SPJ propagation (Definition 4.1 / Lemma 4.2), so the
 //! net-effect reduction can be taken *early* — at scan time, before rows
-//! reach a join or the scan cache (the `on-scan` arm:
+//! reach a join (the `on-scan` arm:
 //! `CompactionPolicy::Background(1)` with no store pass), and in the
 //! stores themselves below the global LWM (the `background` arm: the same
 //! policy plus `compact_stores` between windows) — without changing any

@@ -7,8 +7,8 @@
 //! workers overlaps those waits (and, on multi-core hosts, the joins
 //! themselves). This experiment sweeps the worker count over n-way chain
 //! joins under updater contention and reports the propagation wall-clock
-//! speedup, the delta-scan cache hit rate, and the updaters' commit
-//! latency — the three axes of the parallel pipeline's cost model.
+//! speedup and the updaters' commit latency — the two axes of the
+//! parallel pipeline's cost model.
 
 use crate::Table;
 use rolljoin_common::{tup, Error, Result};
@@ -33,24 +33,10 @@ const TRIALS: usize = 3;
 struct RunOutcome {
     wall: Duration,
     queries: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_rows: u64,
     busy: Duration,
     updater_p99: Duration,
     updater_ops: usize,
     retries: u64,
-}
-
-impl RunOutcome {
-    fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Best-wall trial of a configuration, compared at equal work: the
@@ -178,9 +164,6 @@ fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
     Ok(RunOutcome {
         wall,
         queries: s.total_queries(),
-        cache_hits: s.scan_cache_hits,
-        cache_misses: s.scan_cache_misses,
-        cache_rows: s.scan_cache_rows,
         busy: Duration::from_nanos(s.worker_busy_nanos),
         updater_p99: p99,
         updater_ops: lat.len(),
@@ -201,8 +184,6 @@ pub fn e16() -> Result<()> {
         "propagation wall",
         "speedup",
         "queries",
-        "scan-cache hit rate",
-        "rows from cache",
         "updater p99",
         "retries",
     ]);
@@ -220,16 +201,13 @@ pub fn e16() -> Result<()> {
                 format!("{:.2} ms", out.wall.as_secs_f64() * 1e3),
                 format!("{speedup:.2}x"),
                 out.queries.to_string(),
-                format!("{:.0}%", out.hit_rate() * 100.0),
-                out.cache_rows.to_string(),
                 format!("{:?}", out.updater_p99),
                 out.retries.to_string(),
             ]);
             json_rows.push(format!(
                 concat!(
                     "    {{\"view\": \"{}\", \"workers\": {}, \"wall_ms\": {:.3}, ",
-                    "\"speedup\": {:.3}, \"queries\": {}, \"cache_hits\": {}, ",
-                    "\"cache_misses\": {}, \"cache_rows\": {}, \"busy_ms\": {:.3}, ",
+                    "\"speedup\": {:.3}, \"queries\": {}, \"busy_ms\": {:.3}, ",
                     "\"updater_p99_us\": {:.1}, \"updater_commits\": {}, \"retries\": {}}}"
                 ),
                 json_escape_free(&format!("chain-{n}")),
@@ -237,9 +215,6 @@ pub fn e16() -> Result<()> {
                 out.wall.as_secs_f64() * 1e3,
                 speedup,
                 out.queries,
-                out.cache_hits,
-                out.cache_misses,
-                out.cache_rows,
                 out.busy.as_secs_f64() * 1e3,
                 out.updater_p99.as_secs_f64() * 1e6,
                 out.updater_ops,

@@ -21,8 +21,8 @@ use crate::query::{PropQuery, Slot};
 use crate::stats::{CompactionReport, PropStats};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, TimeInterval};
 use rolljoin_obs::{JournalEntry, Obs, ObsConfig};
-use rolljoin_relalg::{compact_rows, exec, fetch, fetch_cached, BuildCache, SlotInput, SlotSource};
-use rolljoin_storage::{Engine, LockMode, ScanCache};
+use rolljoin_relalg::{compact_rows, exec, fetch, SlotSource};
+use rolljoin_storage::{Engine, LockMode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,14 +83,6 @@ pub struct MaintCtx {
     pub skip_empty: bool,
     /// Executor tuning: worker count, probe-vs-scan threshold.
     pub tuning: ExecTuning,
-    /// Step-scoped cache of materialized delta-range scans, shared by all
-    /// constituent queries (and workers) of one propagation step. Sound
-    /// because capture-complete delta ranges are immutable; entries are
-    /// dropped when the capture HWM advances past the step (memory bound,
-    /// not a correctness requirement).
-    pub scan_cache: Arc<ScanCache>,
-    /// Step-scoped cache of hash-join build sides over shared delta ranges.
-    pub build_cache: Arc<BuildCache>,
     /// Observability handle (spans, metrics, journal), at the level set by
     /// `tuning.obs`. Shared across clones, workers, and drivers.
     pub obs: Arc<Obs>,
@@ -110,8 +102,6 @@ impl MaintCtx {
             capture_wait: CaptureWait::Inline,
             skip_empty: true,
             tuning: ExecTuning::default(),
-            scan_cache: Arc::new(ScanCache::new()),
-            build_cache: Arc::new(BuildCache::new()),
             obs,
             meters,
         }
@@ -286,49 +276,43 @@ impl MaintCtx {
         }
     }
 
-    /// Fetch one delta slot's *full* range through the step-scoped scan
-    /// cache, φ-reducing the part above `compact_above` (see
-    /// [`MaintCtx::compact_above`]): whole-range compaction is one cached
-    /// range, partial compaction concatenates a raw and a compacted
-    /// sub-range.
+    /// Fetch one delta slot's *full* range, φ-reducing the part above
+    /// `compact_above` (see [`MaintCtx::compact_above`]): whole-range
+    /// compaction is one compacted range, partial compaction concatenates
+    /// a raw and a compacted sub-range.
     fn fetch_delta_full(
         &self,
-        txn: &mut rolljoin_storage::Txn,
         table: rolljoin_common::TableId,
         iv: TimeInterval,
         compact_above: Option<Csn>,
-    ) -> Result<SlotInput> {
+    ) -> Result<Vec<DeltaRow>> {
         match compact_above {
-            Some(a) if a <= iv.lo => self.fetch_range(txn, table, iv, true),
+            Some(a) if a <= iv.lo => self.fetch_range(table, iv, true),
             Some(a) if a < iv.hi => {
-                let raw = self.fetch_range(txn, table, TimeInterval::new(iv.lo, a), false)?;
-                let merged = self.fetch_range(txn, table, TimeInterval::new(a, iv.hi), true)?;
-                let mut rows = raw.rows().to_vec();
-                rows.extend_from_slice(merged.rows());
-                Ok(SlotInput::Owned(rows))
+                let mut rows = self.fetch_range(table, TimeInterval::new(iv.lo, a), false)?;
+                rows.extend(self.fetch_range(table, TimeInterval::new(a, iv.hi), true)?);
+                Ok(rows)
             }
-            _ => self.fetch_range(txn, table, iv, false),
+            _ => self.fetch_range(table, iv, false),
         }
     }
 
-    /// One delta-range fetch through the scan cache, raw or φ-compacted,
-    /// recording cache and scan-compaction stats.
+    /// One delta-range fetch from the store, raw or φ-compacted, recording
+    /// scan-compaction stats.
     fn fetch_range(
         &self,
-        txn: &mut rolljoin_storage::Txn,
         table: rolljoin_common::TableId,
         iv: TimeInterval,
         compact: bool,
-    ) -> Result<SlotInput> {
-        let source = SlotSource::Delta(table, iv);
-        let (input, hit, raw) =
-            fetch_cached(&self.engine, txn, &source, &self.scan_cache, compact)?;
-        self.stats.record_scan_cache(hit, input.len() as u64);
-        if compact && !hit {
-            self.stats
-                .record_scan_compaction(raw as u64, input.len() as u64);
+    ) -> Result<Vec<DeltaRow>> {
+        let rows = self.engine.delta_range(table, iv)?;
+        if !compact {
+            return Ok(rows);
         }
-        Ok(input)
+        let (merged, _) = compact_rows(&rows);
+        self.stats
+            .record_scan_compaction(rows.len() as u64, merged.len() as u64);
+        Ok(merged)
     }
 
     /// Split a query so that scan-level compaction reaches the churn of
@@ -406,7 +390,7 @@ impl MaintCtx {
         &self,
         txn: &mut rolljoin_storage::Txn,
         q: &PropQuery,
-    ) -> Result<Vec<SlotInput>> {
+    ) -> Result<Vec<Vec<DeltaRow>>> {
         let view = &self.mv.view;
         let n = q.n();
         let offsets = view.spec.offsets();
@@ -427,7 +411,7 @@ impl MaintCtx {
                 .map(|(_, iv)| iv.hi)
                 .min()
         };
-        let mut slot_rows: Vec<Option<SlotInput>> = (0..n).map(|_| None).collect();
+        let mut slot_rows: Vec<Option<Vec<DeltaRow>>> = (0..n).map(|_| None).collect();
 
         // Seed the cascade: only the smallest delta range is materialized
         // unconditionally — the others stay pending so the cascade may
@@ -438,7 +422,7 @@ impl MaintCtx {
                 .unwrap_or(usize::MAX)
         });
         if let Some((i, iv)) = seed {
-            slot_rows[i] = Some(self.fetch_delta_full(txn, view.bases[i], iv, compact_above(i))?);
+            slot_rows[i] = Some(self.fetch_delta_full(view.bases[i], iv, compact_above(i))?);
         }
 
         let mut remaining: Vec<usize> = (0..n).filter(|&i| slot_rows[i].is_none()).collect();
@@ -479,7 +463,6 @@ impl MaintCtx {
                     let nrows = slot_rows[nslot].as_ref().expect("neighbor fetched");
                     let nlocal = ncol - offsets[nslot];
                     let keys: Vec<rolljoin_common::Value> = nrows
-                        .rows()
                         .iter()
                         .map(|r| r.tuple.get(nlocal).clone())
                         .filter(|v| !v.is_null())
@@ -515,8 +498,7 @@ impl MaintCtx {
                 }
             }
             match picked {
-                // Keyed delta probe: per-key posting slices, bypassing the
-                // scan cache (the result is key-set-specific).
+                // Keyed delta probe: per-key posting slices.
                 Some((i, col, keys, Some(iv))) => {
                     let source = SlotSource::DeltaKeyed {
                         table: view.bases[i],
@@ -526,8 +508,7 @@ impl MaintCtx {
                     };
                     let rows = fetch(&self.engine, txn, &source)?;
                     self.stats.record_delta_decision(true, rows.len() as u64);
-                    let rows = self.compact_above(rows, compact_above(i));
-                    slot_rows[i] = Some(SlotInput::Owned(rows));
+                    slot_rows[i] = Some(self.compact_above(rows, compact_above(i)));
                     remaining.retain(|&x| x != i);
                 }
                 Some((i, col, keys, None)) => {
@@ -536,7 +517,7 @@ impl MaintCtx {
                         col,
                         keys: std::sync::Arc::new(keys),
                     };
-                    slot_rows[i] = Some(SlotInput::Owned(fetch(&self.engine, txn, &source)?));
+                    slot_rows[i] = Some(fetch(&self.engine, txn, &source)?);
                     remaining.retain(|&x| x != i);
                 }
                 None => {
@@ -553,12 +534,8 @@ impl MaintCtx {
                             Slot::Delta(iv) => iv,
                             Slot::Base => unreachable!("filtered to delta slots"),
                         };
-                        slot_rows[i] = Some(self.fetch_delta_full(
-                            txn,
-                            view.bases[i],
-                            iv,
-                            compact_above(i),
-                        )?);
+                        slot_rows[i] =
+                            Some(self.fetch_delta_full(view.bases[i], iv, compact_above(i))?);
                         self.stats.record_delta_decision(false, 0);
                         remaining.retain(|&x| x != i);
                     } else {
@@ -567,7 +544,7 @@ impl MaintCtx {
                             .min_by_key(|&&i| view.bases[i])
                             .expect("remaining is non-empty");
                         let source = SlotSource::Base(view.bases[i]);
-                        slot_rows[i] = Some(SlotInput::Owned(fetch(&self.engine, txn, &source)?));
+                        slot_rows[i] = Some(fetch(&self.engine, txn, &source)?);
                         remaining.retain(|&x| x != i);
                     }
                 }
@@ -625,16 +602,6 @@ impl MaintCtx {
         }
         let wall_start = Instant::now();
         self.ensure_captured(hi)?;
-        // Step-scope the caches: the propagation HWM only advances when a
-        // step completes, so entries live exactly for the step that
-        // materialized them and are dropped when the frontier moves past
-        // it. (Capture-complete delta ranges are immutable, so this is a
-        // memory bound, never a staleness concern — and keying off the
-        // propagation HWM rather than the capture HWM keeps concurrent
-        // updater commits from evicting a live step's working set.)
-        let hwm = self.mv.hwm();
-        self.scan_cache.advance_epoch(hwm);
-        self.build_cache.advance_epoch(hwm);
 
         let mut txn = self.engine.begin();
         // Table granularity: pre-lock base-table slots S in TableId order
@@ -677,7 +644,7 @@ impl MaintCtx {
             };
             let (part_rows, part_stats) = {
                 let _s = self.obs.span("join");
-                exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?
+                exec::execute(slot_rows, &view.spec, sign)?
             };
             rows.extend(part_rows);
             stats.absorb(&part_stats);
@@ -827,6 +794,7 @@ mod tests {
         let snap = ctx.stats.snapshot();
         assert_eq!(snap.forward_queries, 1);
         assert_eq!(snap.vd_rows_written, 1);
+        assert!(snap.query_wall_nanos > 0);
     }
 
     #[test]
@@ -1032,31 +1000,37 @@ mod tests {
     }
 
     #[test]
-    fn scan_cache_serves_repeated_delta_ranges() {
-        let (ctx, r, s) = two_table_ctx();
+    fn compacted_fetch_keeps_min_timestamp() {
+        let (ctx, r, _s) = two_table_ctx();
         let e = &ctx.engine;
+        // Hot-key churn netting to +1 of (1, 10) plus +1 of (2, 20).
         let mut w = e.begin();
         w.insert(r, tup![1, 10]).unwrap();
-        w.insert(s, tup![10, 100]).unwrap();
-        let c = w.commit().unwrap();
-        let q = PropQuery::all_base(2).with_delta(0, TimeInterval::new(0, c));
-        ctx.execute(&q, 1).unwrap();
-        ctx.execute(&q, 1).unwrap();
-        let snap = ctx.stats.snapshot();
-        assert_eq!(snap.scan_cache_misses, 1);
-        assert_eq!(snap.scan_cache_hits, 1);
-        assert_eq!(snap.scan_cache_rows, 1);
-        assert!(snap.query_wall_nanos > 0);
-        // Completing the step advances the propagation HWM past the cached
-        // ranges; the next step starts cold.
+        let c1 = w.commit().unwrap();
         let mut w = e.begin();
-        w.insert(r, tup![2, 11]).unwrap();
-        let c2 = w.commit().unwrap();
-        ctx.mv.set_hwm(c);
-        let q2 = PropQuery::all_base(2).with_delta(0, TimeInterval::new(c, c2));
-        ctx.execute(&q2, 1).unwrap();
-        assert_eq!(ctx.stats.snapshot().scan_cache_misses, 2);
-        assert_eq!(ctx.scan_cache.len(), 1, "old step's entries evicted");
+        w.delete_one(r, &tup![1, 10]).unwrap();
+        w.commit().unwrap();
+        let mut w = e.begin();
+        w.insert(r, tup![1, 10]).unwrap();
+        w.insert(r, tup![2, 20]).unwrap();
+        let c3 = w.commit().unwrap();
+        ctx.ensure_captured(c3).unwrap();
+        let iv = TimeInterval::new(0, c3);
+
+        let rows = ctx.fetch_range(r, iv, true).unwrap();
+        assert_eq!(rows.len(), 2, "the fetch returns the φ-reduced run");
+        let snap = ctx.stats.snapshot();
+        assert_eq!(snap.compact_rows_in, 4, "raw churn counted");
+        assert_eq!(snap.compact_rows_saved, 2);
+        // Min-timestamp rule: the surviving (1, 10) row carries c1.
+        let one = rows.iter().find(|r| r.tuple == tup![1, 10]).unwrap();
+        assert_eq!((one.ts, one.count), (Some(c1), 1));
+
+        // Every compacted fetch reads the store and is counted again; a
+        // raw fetch of the same range is neither merged nor counted.
+        assert_eq!(ctx.fetch_range(r, iv, true).unwrap(), rows);
+        assert_eq!(ctx.fetch_range(r, iv, false).unwrap().len(), 4);
+        assert_eq!(ctx.stats.snapshot().compact_rows_in, 8);
     }
 
     #[test]

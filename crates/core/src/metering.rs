@@ -62,15 +62,6 @@ const PROP_FAMILIES: &[PropFamily] = &[
         &[("", |s| s.vd_rows_written)],
     ),
     (
-        "rolljoin_scan_cache_total",
-        "Delta-range fetches, by scan-cache outcome.",
-        "outcome",
-        &[
-            ("hit", |s| s.scan_cache_hits),
-            ("miss", |s| s.scan_cache_misses),
-        ],
-    ),
-    (
         "rolljoin_delta_index_total",
         "Pending delta slots planned, by keyed-index decision.",
         "decision",

@@ -14,16 +14,15 @@ use std::time::Duration;
 
 /// When delta streams are φ-compacted (net-effect reduced) ahead of
 /// consumption. φ is linear over SPJ propagation (paper Lemma 4.2), so
-/// collapsing same-tuple churn *before* it reaches a join, a cache, or
-/// the store itself changes no net effect — only how many rows carry it.
+/// collapsing same-tuple churn *before* it reaches a join or the store
+/// itself changes no net effect — only how many rows carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicy {
     /// Never compact (seed behavior).
     #[default]
     Off,
-    /// φ-reduce freshly materialized delta ranges before they enter the
-    /// scan cache, so joins, build sides, and cache memory all see net
-    /// churn instead of raw churn; and let
+    /// φ-reduce freshly fetched delta ranges before they reach a join, so
+    /// joins see net churn instead of raw churn; and let
     /// [`MaintCtx::compact_stores`] (run by
     /// [`crate::driver::spawn_compaction_driver`], or by the caller)
     /// rewrite store history below the global LWM in place whenever a

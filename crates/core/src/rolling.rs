@@ -300,11 +300,6 @@ impl RollingPropagator {
     /// completed first; the new step then proceeds as asked.
     pub fn step_relation(&mut self, i: usize, delta: u64) -> Result<RollingStep> {
         self.finish_pending()?;
-        // The step caches serve the queries of one step. The propagation
-        // HWM, which also scopes them, can stall for many steps under
-        // deferred compensation, so a new step starts them empty.
-        self.ctx.scan_cache.clear();
-        self.ctx.build_cache.clear();
         let n = self.tfwd.len();
         if i >= n {
             return Err(Error::Invalid(format!("relation {i} of {n}")));

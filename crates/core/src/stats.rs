@@ -30,17 +30,12 @@ pub struct PropStats {
     /// Largest number of rows read by any single propagation transaction —
     /// the per-transaction "size" the interval knob controls (paper §3.3).
     pub max_txn_rows: AtomicU64,
-    /// Delta-range fetches served from the step-scoped scan cache.
-    pub scan_cache_hits: AtomicU64,
-    /// Delta-range fetches that materialized fresh rows.
-    pub scan_cache_misses: AtomicU64,
-    /// Rows served from the scan cache instead of re-materializing.
-    pub scan_cache_rows: AtomicU64,
-    /// Raw delta rows that entered scan-level φ-compaction (cache misses
-    /// with [`crate::policy::CompactionPolicy::compact_on_scan`] set).
+    /// Raw delta rows that entered scan-level φ-compaction (delta-range
+    /// fetches with [`crate::policy::CompactionPolicy::compact_on_scan`]
+    /// set).
     pub compact_rows_in: AtomicU64,
-    /// Rows eliminated by scan-level φ-compaction before any join, build
-    /// side, or cache entry saw them.
+    /// Rows eliminated by scan-level φ-compaction before any join saw
+    /// them.
     pub compact_rows_saved: AtomicU64,
     /// Total nanoseconds workers spent executing queries (summed across
     /// workers; divide by elapsed wall time for average busy workers).
@@ -76,9 +71,6 @@ pub struct PropStatsSnapshot {
     pub vd_rows_written: u64,
     pub transactions: u64,
     pub max_txn_rows: u64,
-    pub scan_cache_hits: u64,
-    pub scan_cache_misses: u64,
-    pub scan_cache_rows: u64,
     pub compact_rows_in: u64,
     pub compact_rows_saved: u64,
     pub worker_busy_nanos: u64,
@@ -116,18 +108,8 @@ impl PropStats {
             .fetch_max(base_rows + delta_rows, Ordering::Relaxed);
     }
 
-    /// Record one scan-cache lookup outcome.
-    pub(crate) fn record_scan_cache(&self, hit: bool, rows: u64) {
-        if hit {
-            self.scan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.scan_cache_rows.fetch_add(rows, Ordering::Relaxed);
-        } else {
-            self.scan_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Record one scan-level φ-compaction: `raw` rows materialized,
-    /// `served` survived into the cache entry.
+    /// `served` survived it.
     pub(crate) fn record_scan_compaction(&self, raw: u64, served: u64) {
         self.compact_rows_in.fetch_add(raw, Ordering::Relaxed);
         self.compact_rows_saved
@@ -175,9 +157,6 @@ impl PropStats {
             vd_rows_written: self.vd_rows_written.load(Ordering::Relaxed),
             transactions: self.transactions.load(Ordering::Relaxed),
             max_txn_rows: self.max_txn_rows.load(Ordering::Relaxed),
-            scan_cache_hits: self.scan_cache_hits.load(Ordering::Relaxed),
-            scan_cache_misses: self.scan_cache_misses.load(Ordering::Relaxed),
-            scan_cache_rows: self.scan_cache_rows.load(Ordering::Relaxed),
             compact_rows_in: self.compact_rows_in.load(Ordering::Relaxed),
             compact_rows_saved: self.compact_rows_saved.load(Ordering::Relaxed),
             worker_busy_nanos: self.worker_busy_nanos.load(Ordering::Relaxed),
@@ -223,16 +202,6 @@ impl PropStatsSnapshot {
         }
     }
 
-    /// Scan-cache hit fraction in `[0, 1]`; `0` when never consulted.
-    pub fn scan_cache_hit_rate(&self) -> f64 {
-        let total = self.scan_cache_hits + self.scan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.scan_cache_hits as f64 / total as f64
-        }
-    }
-
     /// Difference of two snapshots (self − earlier). Saturating: the two
     /// snapshots are not taken atomically, and background actors (the
     /// compaction driver, propagation workers) keep advancing counters
@@ -248,11 +217,6 @@ impl PropStatsSnapshot {
             vd_rows_written: self.vd_rows_written.saturating_sub(earlier.vd_rows_written),
             transactions: self.transactions.saturating_sub(earlier.transactions),
             max_txn_rows: self.max_txn_rows, // high-water, not differenced
-            scan_cache_hits: self.scan_cache_hits.saturating_sub(earlier.scan_cache_hits),
-            scan_cache_misses: self
-                .scan_cache_misses
-                .saturating_sub(earlier.scan_cache_misses),
-            scan_cache_rows: self.scan_cache_rows.saturating_sub(earlier.scan_cache_rows),
             compact_rows_in: self.compact_rows_in.saturating_sub(earlier.compact_rows_in),
             compact_rows_saved: self
                 .compact_rows_saved

@@ -103,7 +103,7 @@ pub fn sync_propagate_eq1(ctx: &MaintCtx, from: Csn) -> Result<SyncOutcome> {
         }
         let slot_rows = ctx.fetch_slots(&mut txn, &q)?;
         rows_read += slot_rows.iter().map(|s| s.len()).sum::<usize>();
-        let (rows, _) = exec::execute_shared(slot_rows, &view.spec, sign, None)?;
+        let (rows, _) = exec::execute(slot_rows, &view.spec, sign)?;
         for row in rows {
             if row.count == 0 {
                 continue;

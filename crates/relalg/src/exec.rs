@@ -8,12 +8,8 @@
 //! filters, then selection, then projection.
 
 use crate::expr::Expr;
-use crate::ops::{self, JoinIndex};
-use parking_lot::RwLock;
-use rolljoin_common::{DeltaRow, Error, Result, Schema, TableId, TimeInterval};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::ops;
+use rolljoin_common::{DeltaRow, Error, Result, Schema};
 
 /// The join shape shared by a view definition and all its propagation
 /// queries.
@@ -131,194 +127,12 @@ impl ExecStats {
     }
 }
 
-/// One slot's fetched rows, owned or shared.
-///
-/// Shared slots come from the step-scoped scan cache: several constituent
-/// queries of one propagation step read the same delta range, so the rows
-/// arrive as a shared `Arc` with the `(table, interval, store version)`
-/// identity that produced them — which doubles as the [`BuildCache`] key
-/// when the slot lands on the build side of a join. The version is the
-/// delta store's content version at fetch time: a φ-compaction between
-/// build and reuse bumps it, so a stale prebuilt hash index can never be
-/// served against a recompacted range.
-pub enum SlotInput {
-    /// Rows owned by this query alone.
-    Owned(Vec<DeltaRow>),
-    /// Rows shared across queries, with their delta-range identity and the
-    /// delta store's content version at fetch time.
-    Shared(Arc<Vec<DeltaRow>>, TableId, TimeInterval, u64),
-}
-
-impl SlotInput {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            SlotInput::Owned(v) => v.len(),
-            SlotInput::Shared(v, ..) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Borrow the rows.
-    pub fn rows(&self) -> &[DeltaRow] {
-        match self {
-            SlotInput::Owned(v) => v,
-            SlotInput::Shared(v, ..) => v,
-        }
-    }
-
-    /// Rows by value (clones shared rows — cheap `Arc` bumps).
-    fn into_rows(self) -> Vec<DeltaRow> {
-        match self {
-            SlotInput::Owned(v) => v,
-            SlotInput::Shared(v, ..) => Arc::try_unwrap(v).unwrap_or_else(|arc| (*arc).clone()),
-        }
-    }
-}
-
-/// Counters of the build-side cache (point-in-time copy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BuildCacheStats {
-    /// Join build sides served from the cache.
-    pub hits: u64,
-    /// Join build sides hashed fresh.
-    pub misses: u64,
-    /// Live indexes.
-    pub entries: u64,
-}
-
-impl BuildCacheStats {
-    /// Hit fraction in `[0, 1]`; `0` when the cache was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Step-scoped cache of hash-join build sides.
-///
-/// Keyed by `(table, interval, store version, build columns)`: the same
-/// delta range used as a build side with the same join columns across
-/// constituent queries is hashed once and probed many times. Entries are
-/// immutable for the same reason scan-cache entries are (delta ranges at
-/// or below the capture HWM never change *for a given store version*); the
-/// version in the key makes the cache φ-compaction-safe — compacting a
-/// store between build and reuse changes the version, so the next lookup
-/// misses and rebuilds instead of probing a stale index.
-/// [`BuildCache::advance_epoch`] bounds memory to one propagation step's
-/// working set.
-#[derive(Default)]
-pub struct BuildCache {
-    inner: RwLock<BuildCacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Default)]
-struct BuildCacheInner {
-    epoch: u64,
-    indexes: HashMap<(TableId, TimeInterval, u64, Vec<usize>), Arc<JoinIndex>>,
-}
-
-impl BuildCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop all entries materialized under a capture HWM below `hwm`
-    /// (same step-scoping rule as the scan cache).
-    pub fn advance_epoch(&self, hwm: u64) {
-        if self.inner.read().epoch >= hwm {
-            return;
-        }
-        let mut inner = self.inner.write();
-        if inner.epoch < hwm {
-            inner.epoch = hwm;
-            inner.indexes.clear();
-        }
-    }
-
-    /// Drop every entry (a new step starts).
-    pub fn clear(&self) {
-        self.inner.write().indexes.clear();
-    }
-
-    /// Get the index for `(table, interval, version, keys)`, building it
-    /// from `rows` on a miss. `version` is the delta store's content
-    /// version at fetch time — a compaction bumps it and invalidates
-    /// entries built over the pre-compaction rows.
-    pub fn get_or_build(
-        &self,
-        table: TableId,
-        interval: TimeInterval,
-        version: u64,
-        keys: &[usize],
-        rows: &[DeltaRow],
-    ) -> Arc<JoinIndex> {
-        let key = (table, interval, version, keys.to_vec());
-        if let Some(idx) = self.inner.read().indexes.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return idx.clone();
-        }
-        let idx = Arc::new(JoinIndex::build(rows, keys.to_vec()));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.write();
-        inner
-            .indexes
-            .entry(key)
-            .or_insert_with(|| idx.clone())
-            .clone()
-    }
-
-    /// Number of live indexes.
-    pub fn len(&self) -> usize {
-        self.inner.read().indexes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> BuildCacheStats {
-        BuildCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-        }
-    }
-}
-
 /// Execute the join over per-slot row sets. `sign` scales output counts
 /// (−1 for compensation queries).
 pub fn execute(
     slot_rows: Vec<Vec<DeltaRow>>,
     spec: &JoinSpec,
     sign: i64,
-) -> Result<(Vec<DeltaRow>, ExecStats)> {
-    execute_shared(
-        slot_rows.into_iter().map(SlotInput::Owned).collect(),
-        spec,
-        sign,
-        None,
-    )
-}
-
-/// Execute the join over owned or shared per-slot row sets, optionally
-/// consulting `build_cache` for prebuilt hash indexes on shared build
-/// sides. Semantics are identical to [`execute`].
-pub fn execute_shared(
-    slot_rows: Vec<SlotInput>,
-    spec: &JoinSpec,
-    sign: i64,
-    build_cache: Option<&BuildCache>,
 ) -> Result<(Vec<DeltaRow>, ExecStats)> {
     spec.validate()?;
     if slot_rows.len() != spec.arity() {
@@ -329,7 +143,7 @@ pub fn execute_shared(
         )));
     }
     let offsets = spec.offsets();
-    let rows_in: Vec<usize> = slot_rows.iter().map(SlotInput::len).collect();
+    let rows_in: Vec<usize> = slot_rows.iter().map(Vec::len).collect();
 
     // Assign each equi pair to the first left-deep step where both sides
     // are available; pairs within a single slot become residual filters.
@@ -348,22 +162,12 @@ pub fn execute_shared(
     }
 
     let mut rows_iter = slot_rows.into_iter();
-    let mut pipeline: ops::RowIter = match rows_iter.next().expect("≥1 slot") {
-        SlotInput::Owned(rows) => ops::scan(rows),
-        SlotInput::Shared(rows, ..) => ops::scan_shared(rows),
-    };
+    let mut pipeline = ops::scan(rows_iter.next().expect("≥1 slot"));
     for (k, build) in rows_iter.enumerate() {
         let k = k + 1;
         let (probe_keys, build_keys): (Vec<usize>, Vec<usize>) =
             step_keys[k].iter().copied().unzip();
-        pipeline = match (&build, build_cache) {
-            // A shared build side with a cache: hash it once per step.
-            (SlotInput::Shared(rows, table, interval, version), Some(cache)) => {
-                let idx = cache.get_or_build(*table, *interval, *version, &build_keys, rows);
-                ops::hash_join_indexed(pipeline, idx, probe_keys)
-            }
-            _ => ops::hash_join(pipeline, build.into_rows(), probe_keys, build_keys),
-        };
+        pipeline = ops::hash_join(pipeline, build, probe_keys, build_keys);
     }
     for (a, b) in residual {
         pipeline = ops::filter(pipeline, Expr::col(a).eq(Expr::col(b)));
@@ -422,100 +226,6 @@ mod tests {
         assert_eq!(net[&tup![2, 201]], 1);
         assert_eq!(stats.rows_in, vec![3, 3]);
         assert_eq!(stats.rows_out, 3);
-    }
-
-    #[test]
-    fn shared_execution_matches_owned_and_reuses_builds() {
-        let spec = JoinSpec {
-            slot_schemas: vec![schema2("a", "b"), schema2("b", "c"), schema2("c", "d")],
-            equi: vec![(1, 2), (3, 4)],
-            filter: None,
-            projection: vec![0, 5],
-        };
-        let r = base_rows(&[(1, 10), (2, 11)]);
-        let s = base_rows(&[(10, 100), (11, 101)]);
-        let t = base_rows(&[(100, 7), (101, 8)]);
-        let (owned, owned_stats) =
-            execute(vec![r.clone(), s.clone(), t.clone()], &spec, -1).unwrap();
-
-        let cache = BuildCache::new();
-        let (t_id, iv) = (TableId(7), TimeInterval::new(0, 5));
-        let shared_slots = || {
-            vec![
-                SlotInput::Owned(r.clone()),
-                SlotInput::Shared(Arc::new(s.clone()), TableId(6), iv, 1),
-                SlotInput::Shared(Arc::new(t.clone()), t_id, iv, 1),
-            ]
-        };
-        let (shared, shared_stats) =
-            execute_shared(shared_slots(), &spec, -1, Some(&cache)).unwrap();
-        // Compare φ over borrowed rows: net_effect_ref clones one tuple
-        // per group instead of every row.
-        assert_eq!(
-            crate::net_effect::net_effect_ref(&owned),
-            crate::net_effect::net_effect_ref(&shared)
-        );
-        assert_eq!(owned_stats, shared_stats);
-        // Two shared build sides were hashed fresh; re-running hits both.
-        assert_eq!(
-            cache.stats(),
-            BuildCacheStats {
-                hits: 0,
-                misses: 2,
-                entries: 2
-            }
-        );
-        let (again, _) = execute_shared(shared_slots(), &spec, -1, Some(&cache)).unwrap();
-        assert_eq!(again.len(), shared_stats.rows_out);
-        assert_eq!(cache.stats().hits, 2);
-        // Advancing the epoch past the entries clears them.
-        cache.advance_epoch(9);
-        assert!(cache.is_empty());
-        cache.advance_epoch(9);
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn build_cache_misses_on_version_change() {
-        // A φ-compaction between build and reuse bumps the store version;
-        // the same (table, interval, keys) must then rebuild rather than
-        // serve the index hashed over the pre-compaction rows.
-        let spec = spec_rs();
-        let r = base_rows(&[(1, 10)]);
-        let (t_id, iv) = (TableId(3), TimeInterval::new(0, 9));
-        let cache = BuildCache::new();
-
-        // Pre-compaction build side: +1/−1 churn on (10, 100).
-        let churn = vec![
-            DeltaRow::change(1, 1, tup![10, 100]),
-            DeltaRow::change(2, -1, tup![10, 100]),
-            DeltaRow::change(3, 1, tup![10, 101]),
-        ];
-        let slots = vec![
-            SlotInput::Owned(r.clone()),
-            SlotInput::Shared(Arc::new(churn), t_id, iv, 1),
-        ];
-        let (out, _) = execute_shared(slots, &spec, 1, Some(&cache)).unwrap();
-        assert_eq!(net_effect(out).len(), 1);
-        assert_eq!(cache.stats().misses, 1);
-
-        // Post-compaction rows under a bumped version: the entry for
-        // version 1 must not be reused.
-        let compacted = vec![DeltaRow::change(3, 1, tup![10, 101])];
-        let slots = vec![
-            SlotInput::Owned(r),
-            SlotInput::Shared(Arc::new(compacted), t_id, iv, 2),
-        ];
-        let (out, _) = execute_shared(slots, &spec, 1, Some(&cache)).unwrap();
-        let net = net_effect(out);
-        assert_eq!(net.len(), 1);
-        assert_eq!(net[&tup![1, 101]], 1);
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.entries),
-            (0, 2, 2),
-            "version change is a miss, not a stale hit"
-        );
     }
 
     #[test]

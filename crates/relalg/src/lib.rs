@@ -21,13 +21,10 @@ pub mod net_effect;
 pub mod ops;
 pub mod source;
 
-pub use exec::{
-    execute, execute_shared, BuildCache, BuildCacheStats, ExecStats, JoinSpec, SlotInput,
-};
+pub use exec::{execute, ExecStats, JoinSpec};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use net_effect::{
     add, compact_rows, is_multiset, negate, net_effect, net_effect_ref, to_rows, CompactionOutcome,
     NetEffect,
 };
-pub use ops::JoinIndex;
-pub use source::{fetch, fetch_cached, SlotSource};
+pub use source::{fetch, SlotSource};

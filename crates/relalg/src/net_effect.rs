@@ -64,7 +64,7 @@ pub struct CompactionOutcome {
 }
 
 impl CompactionOutcome {
-    /// Rows eliminated before they could reach a join or cache.
+    /// Rows eliminated before they could reach a join.
     pub fn rows_saved(&self) -> usize {
         self.rows_in - self.rows_out
     }

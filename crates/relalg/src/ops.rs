@@ -15,7 +15,6 @@
 use crate::expr::Expr;
 use rolljoin_common::{DeltaRow, TimeInterval, Tuple, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A stream of delta rows.
 pub type RowIter = Box<dyn Iterator<Item = DeltaRow>>;
@@ -23,12 +22,6 @@ pub type RowIter = Box<dyn Iterator<Item = DeltaRow>>;
 /// Scan a materialized vector.
 pub fn scan(rows: Vec<DeltaRow>) -> RowIter {
     Box::new(rows.into_iter())
-}
-
-/// Scan a shared (cached) vector without taking ownership. Rows are cloned
-/// lazily — a [`DeltaRow`] clone is an `Arc` bump plus two words.
-pub fn scan_shared(rows: Arc<Vec<DeltaRow>>) -> RowIter {
-    Box::new((0..rows.len()).map(move |i| rows[i].clone()))
 }
 
 /// Selection `σ_pred`. The predicate sees only attribute columns, never
@@ -82,9 +75,8 @@ pub fn ts_range(input: RowIter, interval: TimeInterval) -> RowIter {
 
 /// An equi-join key whose hash is computed once at construction. `Hash`
 /// replays the stored value, so hash-table growth (which re-hashes every
-/// resident key) and repeated probes against shared build indexes cost one
-/// `u64` write instead of re-walking every [`Value`] — the build side of a
-/// join hashes each key exactly once.
+/// resident key) costs one `u64` write instead of re-walking every
+/// [`Value`] — the build side of a join hashes each key exactly once.
 #[derive(PartialEq, Eq)]
 pub(crate) struct JoinKey {
     hash: u64,
@@ -148,68 +140,6 @@ pub fn hash_join(
     Box::new(probe.flat_map(move |p| {
         let matches: Vec<DeltaRow> = match key_of(&p.tuple, &probe_keys) {
             Some(key) => table
-                .get(&key)
-                .map(|rows| rows.iter().map(|b| p.join_combine(b)).collect())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
-        matches.into_iter()
-    }))
-}
-
-/// A prebuilt build side of a hash join: rows grouped by their key values
-/// on a fixed column list. Sharable across queries (and threads) via
-/// `Arc` — the step-scoped build cache hands these out so each delta range
-/// is hashed once per step instead of once per constituent query.
-pub struct JoinIndex {
-    /// Local (slot-relative) build key columns the index was built on.
-    keys: Vec<usize>,
-    map: HashMap<JoinKey, Vec<DeltaRow>>,
-    rows: usize,
-}
-
-impl JoinIndex {
-    /// Hash `build` on `keys` (NULL keys never join, matching
-    /// [`hash_join`]). Key hashes are computed once here and reused for
-    /// every probe of the shared index.
-    pub fn build(build: &[DeltaRow], keys: Vec<usize>) -> JoinIndex {
-        let mut map: HashMap<JoinKey, Vec<DeltaRow>> = HashMap::new();
-        for row in build {
-            if let Some(key) = key_of(&row.tuple, &keys) {
-                map.entry(key).or_default().push(row.clone());
-            }
-        }
-        JoinIndex {
-            keys,
-            map,
-            rows: build.len(),
-        }
-    }
-
-    /// The build key columns.
-    pub fn keys(&self) -> &[usize] {
-        &self.keys
-    }
-
-    /// Number of build rows the index was built from (indexed or not).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-}
-
-/// Hash equi-join against a prebuilt, shared build index. Identical
-/// semantics to [`hash_join`] with the same keys; the build phase is
-/// skipped.
-pub fn hash_join_indexed(probe: RowIter, index: Arc<JoinIndex>, probe_keys: Vec<usize>) -> RowIter {
-    assert_eq!(
-        probe_keys.len(),
-        index.keys.len(),
-        "key arity mismatch against prebuilt index"
-    );
-    Box::new(probe.flat_map(move |p| {
-        let matches: Vec<DeltaRow> = match key_of(&p.tuple, &probe_keys) {
-            Some(key) => index
-                .map
                 .get(&key)
                 .map(|rows| rows.iter().map(|b| p.join_combine(b)).collect())
                 .unwrap_or_default(),
@@ -313,30 +243,6 @@ mod tests {
         assert_eq!(out[0].count, -2);
         let out: Vec<_> = scale(scan(rows), -3).collect();
         assert_eq!(out[0].count, -6);
-    }
-
-    #[test]
-    fn indexed_join_matches_hash_join() {
-        let r = base(vec![(1, tup![1, 10]), (2, tup![2, 20])]);
-        let s = vec![
-            DeltaRow::change(5, 1, tup![10, "x"]),
-            DeltaRow::change(3, -1, tup![20, "y"]),
-            DeltaRow::change(9, 1, tup![30, "z"]),
-        ];
-        let direct: Vec<_> = hash_join(scan(r.clone()), s.clone(), vec![1], vec![0]).collect();
-        let idx = Arc::new(JoinIndex::build(&s, vec![0]));
-        assert_eq!(idx.rows(), 3);
-        assert_eq!(idx.keys(), &[0]);
-        let via_index: Vec<_> = hash_join_indexed(scan(r), idx, vec![1]).collect();
-        assert_eq!(direct, via_index);
-    }
-
-    #[test]
-    fn scan_shared_yields_all_rows() {
-        let rows = Arc::new(base(vec![(1, tup![1]), (2, tup![2])]));
-        let out: Vec<_> = scan_shared(rows.clone()).collect();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out, *rows);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! takes IS at the table plus S on only the stripes its keys hash to, so
 //! it conflicts with updaters of colliding keys instead of the whole table.
 
-use crate::exec::SlotInput;
 use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Value};
-use rolljoin_storage::{Engine, ScanCache, Txn};
+use rolljoin_storage::{Engine, Txn};
 use std::sync::Arc;
 
 /// Binding of one join slot to a row source.
@@ -138,62 +137,6 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
     }
 }
 
-/// Fetch one slot, routing delta-range reads through the step-scoped
-/// [`ScanCache`]. The same range requested by several constituent queries
-/// of one propagation step is materialized once and shared; cache entries
-/// are keyed on the delta store's content version, so a prune or
-/// φ-compaction between steps invalidates them instead of serving stale
-/// rows. Other sources are fetched fresh each time: base reads are
-/// transactional and must see the executing transaction's state, and a
-/// keyed delta probe's result is key-set-specific.
-///
-/// With `compact` set, a freshly materialized delta range is φ-reduced
-/// ([`crate::net_effect::compact_rows`]) *before* it enters the cache, so
-/// every consumer of the entry — join probes, build sides, the cache
-/// itself — works on net churn rather than raw churn. The compacted form
-/// carries its own content tag (`2 · version + 1`, raw ranges `2 ·
-/// version`), so the scan cache and the [`crate::BuildCache`] never serve
-/// one form for the other.
-///
-/// Returns the slot input, whether the rows came from the cache, and the
-/// raw (pre-compaction) row count of the range, for stats.
-pub fn fetch_cached(
-    engine: &Engine,
-    txn: &mut Txn,
-    source: &SlotSource,
-    cache: &ScanCache,
-    compact: bool,
-) -> Result<(SlotInput, bool, usize)> {
-    match source {
-        SlotSource::Delta(table, interval) => {
-            let tag = 2 * engine.delta_store(*table)?.version() + compact as u64;
-            let mut raw_rows = 0usize;
-            let (rows, hit) = cache.get_or_fetch(*table, *interval, tag, || {
-                let fetched = engine.delta_range(*table, *interval)?;
-                raw_rows = fetched.len();
-                if compact {
-                    Ok(crate::net_effect::compact_rows(&fetched).0)
-                } else {
-                    Ok(fetched)
-                }
-            })?;
-            if hit {
-                raw_rows = rows.len();
-            }
-            Ok((
-                SlotInput::Shared(rows, *table, *interval, tag),
-                hit,
-                raw_rows,
-            ))
-        }
-        other => {
-            let rows = fetch(engine, txn, other)?;
-            let n = rows.len();
-            Ok((SlotInput::Owned(rows), false, n))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,78 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_cached_shares_delta_ranges() {
-        let (e, t) = engine();
-        let mut w = e.begin();
-        w.insert(t, tup![1]).unwrap();
-        let c1 = w.commit().unwrap();
-        e.capture_catch_up().unwrap();
-        let cache = ScanCache::new();
-        let src = SlotSource::Delta(t, TimeInterval::new(0, c1));
-        let mut txn = e.begin();
-        let (first, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, false).unwrap();
-        assert!(!hit);
-        assert_eq!(raw, 1);
-        let (second, hit, _) = fetch_cached(&e, &mut txn, &src, &cache, false).unwrap();
-        assert!(hit);
-        match (&first, &second) {
-            (SlotInput::Shared(a, ta, iva, va), SlotInput::Shared(b, tb, ivb, vb)) => {
-                assert!(Arc::ptr_eq(a, b));
-                assert_eq!((ta, iva, va), (tb, ivb, vb));
-                assert_eq!(a.len(), 1);
-            }
-            _ => panic!("delta fetch should be shared"),
-        }
-        // Base reads bypass the cache.
-        let (base, hit, _) =
-            fetch_cached(&e, &mut txn, &SlotSource::Base(t), &cache, false).unwrap();
-        assert!(!hit);
-        assert!(matches!(base, SlotInput::Owned(_)));
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn fetch_cached_compacts_before_caching() {
-        let (e, t) = engine();
-        // Hot-key churn netting to +1 of tup![1] plus +1 of tup![2].
-        let mut w = e.begin();
-        w.insert(t, tup![1]).unwrap();
-        w.commit().unwrap();
-        let mut w = e.begin();
-        w.delete_one(t, &tup![1]).unwrap();
-        w.commit().unwrap();
-        let mut w = e.begin();
-        w.insert(t, tup![1]).unwrap();
-        w.insert(t, tup![2]).unwrap();
-        let c3 = w.commit().unwrap();
-        e.capture_catch_up().unwrap();
-        let cache = ScanCache::new();
-        let src = SlotSource::Delta(t, TimeInterval::new(0, c3));
-        let mut txn = e.begin();
-        let (input, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, true).unwrap();
-        assert!(!hit);
-        assert_eq!(raw, 4, "raw churn reported for stats");
-        assert_eq!(input.len(), 2, "cache entry holds the φ-reduced run");
-        // The *compacted* rows are what the cache serves from now on.
-        let (again, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, true).unwrap();
-        assert!(hit);
-        assert_eq!(raw, 2);
-        assert_eq!(again.len(), 2);
-        // The raw form of the same range is a different entry.
-        let (raw_form, hit, _) = fetch_cached(&e, &mut txn, &src, &cache, false).unwrap();
-        assert!(!hit, "raw and compacted forms never share an entry");
-        assert_eq!(raw_form.len(), 4);
-        // Min-timestamp rule: the surviving tup![1] row carries ts = 1.
-        match &input {
-            SlotInput::Shared(rows, ..) => {
-                let one = rows.iter().find(|r| r.tuple == tup![1]).unwrap();
-                assert_eq!((one.ts, one.count), (Some(1), 1));
-            }
-            _ => panic!("delta fetch should be shared"),
-        }
-    }
-
-    #[test]
     fn delta_keyed_fetch_matches_filtered_scan() {
         let (e, t) = engine();
         for i in 0..6i64 {
@@ -365,34 +236,6 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].tuple, tup![2]);
         assert_eq!(format!("{src}"), format!("Δ{t}(0,{c}][col0∈1 keys]"));
-    }
-
-    #[test]
-    fn fetch_cached_keyed_delta_is_owned() {
-        let (e, t) = engine();
-        // Churn on key 1 netting to zero, plus a surviving key-2 row.
-        let mut w = e.begin();
-        w.insert(t, tup![1]).unwrap();
-        w.commit().unwrap();
-        let mut w = e.begin();
-        w.delete_one(t, &tup![1]).unwrap();
-        w.insert(t, tup![2]).unwrap();
-        let c = w.commit().unwrap();
-        e.capture_catch_up().unwrap();
-        e.create_delta_index(t, 0).unwrap();
-        let cache = ScanCache::new();
-        let src = SlotSource::DeltaKeyed {
-            table: t,
-            interval: TimeInterval::new(0, c),
-            col: 0,
-            keys: Arc::new(vec![Value::Int(1), Value::Int(2)]),
-        };
-        let mut txn = e.begin();
-        let (input, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, true).unwrap();
-        assert!(!hit, "keyed probes bypass the scan cache");
-        assert_eq!((raw, input.len()), (3, 3), "fetched as is");
-        assert!(matches!(input, SlotInput::Owned(_)));
-        assert_eq!(cache.stats().misses, 0, "scan cache untouched");
     }
 
     #[test]

@@ -18,7 +18,6 @@ use parking_lot::RwLock;
 use rolljoin_common::{Csn, DeltaRow, Error, Result, TableId, TimeInterval, Tuple, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Snapshot that replaces pruned history: the table's multiset state as
 /// of `through`.
@@ -192,10 +191,6 @@ pub struct DeltaStore {
     /// (min-timestamp rule). Reads that dip below it would see rewritten
     /// timestamps, so they are refused like pruned history.
     compacted_through: AtomicU64,
-    /// Bumped whenever held rows are rewritten in place (prune or compact);
-    /// lets range caches detect that a cached `(table, interval)` entry no
-    /// longer matches the store contents.
-    version: AtomicU64,
     /// Keyed time-range index (posting lists per indexed column). Always
     /// acquired *after* `rows` — see [`KeyIndex`].
     index: RwLock<KeyIndex>,
@@ -225,7 +220,6 @@ impl DeltaStore {
             rows: RwLock::new(Vec::new()),
             base: RwLock::new(DeltaBase::default()),
             compacted_through: AtomicU64::new(0),
-            version: AtomicU64::new(0),
             index: RwLock::new(KeyIndex::default()),
             compaction: CompactionCounters::default(),
         }
@@ -249,13 +243,6 @@ impl DeltaStore {
         self.pruned_through().max(self.compacted_through())
     }
 
-    /// Content version: bumped whenever held rows are rewritten in place
-    /// (prune or compaction). Range caches key their entries on this so a
-    /// rewrite invalidates them.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
     /// Compaction counters accumulated over the store's lifetime.
     pub fn compaction_stats(&self) -> CompactionStats {
         self.compaction.snapshot()
@@ -276,7 +263,6 @@ impl DeltaStore {
         base.through = base.through.max(through);
         if hi > 0 {
             self.index.write().remap_pruned(hi);
-            self.version.fetch_add(1, Ordering::AcqRel);
         }
         hi
     }
@@ -330,7 +316,6 @@ impl DeltaStore {
             before.saturating_sub(after),
         );
         self.compacted_through.fetch_max(lwm, Ordering::AcqRel);
-        self.version.fetch_add(1, Ordering::AcqRel);
         removed
     }
 
@@ -719,164 +704,6 @@ impl ViewDeltaStore {
     }
 }
 
-/// Counters of one cache (point-in-time copy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to materialize the range.
-    pub misses: u64,
-    /// Rows served from cached entries (what the cache saved copying).
-    pub rows_served: u64,
-    /// Live entries.
-    pub entries: u64,
-}
-
-impl ScanCacheStats {
-    /// Hit fraction in `[0, 1]`; `0` when the cache was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// A cached range scan: the [`DeltaStore::version`] it was fetched at
-/// plus the materialized rows.
-type VersionedRows = (u64, Arc<Vec<DeltaRow>>);
-
-#[derive(Default)]
-struct ScanCacheInner {
-    /// Epoch (the caller's propagation HWM) the live entries were
-    /// materialized under.
-    epoch: Csn,
-    /// Entries carry the version they were fetched at, so a store
-    /// rewrite (prune or φ-compaction) makes them unservable.
-    ranges: HashMap<(TableId, TimeInterval), VersionedRows>,
-}
-
-/// Step-scoped cache of materialized delta-range scans.
-///
-/// A propagation step executes many constituent queries that re-read the
-/// *same* delta ranges (the forward query and every compensation query in
-/// its subtree share delta slots). Each [`DeltaStore::range`] call copies
-/// the slice; this cache materializes a range once per step and hands out
-/// shared read-only [`Arc`]s instead.
-///
-/// Soundness: a range `(a, b]` with `b` at or below the capture HWM is
-/// immutable against *appends* (capture appends in CSN order), but prune
-/// and φ-compaction rewrite held rows in place. Every entry therefore
-/// records the [`DeltaStore::version`] it was fetched at, and a lookup
-/// whose caller-supplied version differs is a miss that *replaces* the
-/// stale entry — a cached range can never be served across a rewrite.
-/// Epoch advancement is then purely a *memory bound*: when the caller's
-/// epoch — the propagation HWM, which advances only as steps complete —
-/// moves past the one the entries were computed under, the step that
-/// shared them has moved on and the whole cache is dropped
-/// ([`ScanCache::advance_epoch`]). The *capture* HWM would be the wrong
-/// epoch: it advances on every concurrent updater commit and would evict a
-/// live step's working set.
-#[derive(Default)]
-pub struct ScanCache {
-    inner: RwLock<ScanCacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rows_served: AtomicU64,
-}
-
-impl ScanCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The capture HWM the current entries were materialized under.
-    pub fn epoch(&self) -> Csn {
-        self.inner.read().epoch
-    }
-
-    /// Step-scope the cache: when the capture HWM has advanced past the
-    /// epoch of the live entries, drop them all. Entries stay correct
-    /// regardless (cached ranges are immutable); this bounds memory to one
-    /// step's working set.
-    pub fn advance_epoch(&self, hwm: Csn) {
-        if self.inner.read().epoch >= hwm {
-            return;
-        }
-        let mut inner = self.inner.write();
-        if inner.epoch < hwm {
-            inner.epoch = hwm;
-            inner.ranges.clear();
-        }
-    }
-
-    /// Drop every entry (a new step starts).
-    pub fn clear(&self) {
-        self.inner.write().ranges.clear();
-    }
-
-    /// Look up `(table, interval)` at the store's current content
-    /// `version`, materializing it with `fetch` on a miss. A cached entry
-    /// fetched at a different version is stale (the store was pruned or
-    /// compacted since) and is replaced. Returns the shared rows and
-    /// whether this was a hit.
-    pub fn get_or_fetch(
-        &self,
-        table: TableId,
-        interval: TimeInterval,
-        version: u64,
-        fetch: impl FnOnce() -> Result<Vec<DeltaRow>>,
-    ) -> Result<(Arc<Vec<DeltaRow>>, bool)> {
-        let key = (table, interval);
-        if let Some((v, rows)) = self.inner.read().ranges.get(&key) {
-            if *v == version {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.rows_served
-                    .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                return Ok((rows.clone(), true));
-            }
-        }
-        // Materialize outside the write lock; racing fetchers of the same
-        // range do duplicate work at most once.
-        let rows = Arc::new(fetch()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.write();
-        let entry = inner
-            .ranges
-            .entry(key)
-            .and_modify(|e| {
-                // Replace (never keep) an entry from another version —
-                // `or_insert` semantics would re-serve the stale rows.
-                if e.0 != version {
-                    *e = (version, rows.clone());
-                }
-            })
-            .or_insert_with(|| (version, rows.clone()));
-        Ok((entry.1.clone(), false))
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.inner.read().ranges.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> ScanCacheStats {
-        ScanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            rows_served: self.rows_served.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,81 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_cache_hits_and_serves_shared_rows() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![10])]);
-        d.append_commit(2, [(1, tup![20])]);
-        let cache = ScanCache::new();
-        let iv = TimeInterval::new(0, 2);
-        let (a, hit) = cache
-            .get_or_fetch(TableId(1), iv, d.version(), || Ok(d.range(iv)))
-            .unwrap();
-        assert!(!hit);
-        assert_eq!(a.len(), 2);
-        let (b, hit) = cache
-            .get_or_fetch(TableId(1), iv, d.version(), || panic!("must not refetch"))
-            .unwrap();
-        assert!(hit);
-        assert!(Arc::ptr_eq(&a, &b), "hit returns the same allocation");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.rows_served, s.entries), (1, 1, 2, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scan_cache_epoch_advance_clears() {
-        let cache = ScanCache::new();
-        let iv = TimeInterval::new(0, 3);
-        cache
-            .get_or_fetch(TableId(1), iv, 0, || {
-                Ok(vec![DeltaRow::change(1, 1, tup![1])])
-            })
-            .unwrap();
-        cache.advance_epoch(3);
-        assert_eq!(cache.len(), 0, "newer HWM drops the step's entries");
-        assert_eq!(cache.epoch(), 3);
-        // Same HWM again: entries from the current step survive.
-        cache
-            .get_or_fetch(TableId(1), iv, 0, || {
-                Ok(vec![DeltaRow::change(1, 1, tup![1])])
-            })
-            .unwrap();
-        cache.advance_epoch(3);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn scan_cache_version_mismatch_replaces_stale_entry() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![7])]);
-        d.append_commit(2, [(-1, tup![7])]);
-        d.append_commit(3, [(1, tup![8])]);
-        let cache = ScanCache::new();
-        let iv = TimeInterval::new(0, 3);
-        let v0 = d.version();
-        let (a, _) = cache
-            .get_or_fetch(TableId(1), iv, v0, || Ok(d.range(iv)))
-            .unwrap();
-        assert_eq!(a.len(), 3);
-        // A rewrite (compaction) bumps the version; the old entry must not
-        // be served, and the refetched rows must replace it.
-        assert_eq!(d.compact_through(3), 2);
-        let v1 = d.version();
-        assert_ne!(v0, v1);
-        let (b, hit) = cache
-            .get_or_fetch(TableId(1), iv, v1, || Ok(d.range(iv)))
-            .unwrap();
-        assert!(!hit, "stale version must miss");
-        assert_eq!(b.len(), 1, "compacted range served after refetch");
-        // The replacement is now the live entry for the new version.
-        let (c, hit) = cache
-            .get_or_fetch(TableId(1), iv, v1, || panic!("must not refetch"))
-            .unwrap();
-        assert!(hit);
-        assert!(Arc::ptr_eq(&b, &c));
-    }
-
-    #[test]
     fn compact_merges_sums_counts_and_keeps_min_ts() {
         let d = DeltaStore::new(TableId(1));
         d.append_commit(1, [(1, tup![1])]);
@@ -1107,10 +859,8 @@ mod tests {
         let d = DeltaStore::new(TableId(1));
         d.append_commit(1, [(1, tup![1])]);
         d.append_commit(2, [(1, tup![2])]);
-        let v = d.version();
         assert_eq!(d.compact_through(2), 0, "distinct tuples: nothing merges");
         assert_eq!(d.compacted_through(), 0, "floor not raised on a no-op");
-        assert_eq!(d.version(), v, "no rewrite, no invalidation");
         assert_eq!(d.reconstruct_at(1).unwrap().len(), 1);
     }
 

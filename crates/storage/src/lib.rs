@@ -32,7 +32,7 @@ pub mod uow;
 pub mod wal;
 
 pub use capture::Capture;
-pub use delta::{CompactionStats, DeltaStore, ScanCache, ScanCacheStats, ViewDeltaStore};
+pub use delta::{CompactionStats, DeltaStore, ViewDeltaStore};
 pub use engine::{Engine, Txn};
 pub use heap::RowId;
 pub use lock::{

@@ -71,7 +71,7 @@ fn prometheus_counters_and_gauges_have_one_source() {
     let prom = ctx.prometheus().unwrap();
     let s = ctx.stats.snapshot();
     type Field = fn(&PropStatsSnapshot) -> u64;
-    let folded: [(&str, Field); 10] = [
+    let folded: [(&str, Field); 8] = [
         ("rolljoin_queries_total{kind=\"forward\"}", |s| {
             s.forward_queries
         }),
@@ -83,12 +83,6 @@ fn prometheus_counters_and_gauges_have_one_source() {
             s.delta_rows_read
         }),
         ("rolljoin_vd_rows_written_total", |s| s.vd_rows_written),
-        ("rolljoin_scan_cache_total{outcome=\"hit\"}", |s| {
-            s.scan_cache_hits
-        }),
-        ("rolljoin_scan_cache_total{outcome=\"miss\"}", |s| {
-            s.scan_cache_misses
-        }),
         ("rolljoin_delta_index_total{decision=\"probe\"}", |s| {
             s.delta_probe_decisions
         }),
