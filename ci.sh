@@ -24,9 +24,11 @@ cargo bench --workspace --no-run
 echo "== observability overhead bench =="
 cargo bench -p rolljoin-bench --bench obs_overhead
 
-echo "== perfbench (outside the workspace: build + self-tests) =="
+echo "== perfbench (outside the workspace: build, self-tests, rustfmt, clippy) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== perfbench smoke (2 s per workload: gates pass, no failed operation) =="
 for wl in star-skew churn-cancel chain-all; do

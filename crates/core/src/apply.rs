@@ -28,6 +28,9 @@ pub struct ApplyOutcome {
     pub insertions: i64,
     /// Sum of negative net counts installed (as a positive number).
     pub deletions: i64,
+    /// CSN of the roll's own transaction (it installs the net counts and
+    /// the new materialization time); `None` when the roll was a no-op.
+    pub committed_at: Option<Csn>,
 }
 
 /// Initially materialize the view: one transaction that S-locks every base
@@ -92,6 +95,7 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
             tuples_changed: 0,
             insertions: 0,
             deletions: 0,
+            committed_at: None,
         });
     }
 
@@ -123,10 +127,13 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
     // held (commit releases it): a reader that S-locks the MV and then
     // reads `mat_time` must never see the new contents with the old time.
     ctx.mv.set_mat_time(target);
-    if let Err(e) = txn.commit() {
-        ctx.mv.set_mat_time(mat);
-        return Err(e);
-    }
+    let committed_at = match txn.commit() {
+        Ok(csn) => csn,
+        Err(e) => {
+            ctx.mv.set_mat_time(mat);
+            return Err(e);
+        }
+    };
     // Everything at or below the new apply position has been installed;
     // under a compaction policy, fold that history down to one record per
     // tuple so the next roll's σ_{target, t'} scan walks net churn.
@@ -152,6 +159,7 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
         tuples_changed,
         insertions,
         deletions,
+        committed_at: Some(committed_at),
     })
 }
 

@@ -10,9 +10,10 @@
 
 use crate::view::ViewDef;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Result, Schema, TableId};
-use rolljoin_storage::{Engine, LockMode, Txn};
+use rolljoin_storage::{Engine, LockMode, Txn, Watermark};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Name of the persistent control table (paper Fig. 11: "control tables
 /// maintained in the database engine"). One row per materialized view:
@@ -47,8 +48,9 @@ pub struct MaterializedView {
     /// base tables as of this CSN.
     mat_time: AtomicU64,
     /// View delta high-water mark: `σ_{mat_time, hwm}(VD)` is a complete
-    /// timed delta (paper Fig. 3). Advanced only by propagation.
-    vd_hwm: AtomicU64,
+    /// timed delta (paper Fig. 3). Advanced only by propagation; the apply
+    /// driver waits on its progress signal.
+    vd_hwm: Watermark,
 }
 
 impl MaterializedView {
@@ -123,7 +125,7 @@ impl MaterializedView {
             mv_table,
             vd_table,
             mat_time: AtomicU64::new(0),
-            vd_hwm: AtomicU64::new(0),
+            vd_hwm: Watermark::new(0),
         })
     }
 
@@ -134,7 +136,14 @@ impl MaterializedView {
 
     /// The view delta high-water mark.
     pub fn hwm(&self) -> Csn {
-        self.vd_hwm.load(Ordering::Acquire)
+        self.vd_hwm.get()
+    }
+
+    /// Block until the high-water mark reaches `csn` or `deadline`
+    /// passes, waking on propagation progress. Returns whether it reached
+    /// `csn`.
+    pub(crate) fn wait_hwm(&self, csn: Csn, deadline: Instant) -> bool {
+        self.vd_hwm.wait_for(csn, deadline)
     }
 
     /// Advance the materialization time (apply process only).
@@ -148,16 +157,7 @@ impl MaterializedView {
     /// yourself only after driving `compute_delta` by hand, to declare the
     /// interval you have fully propagated.
     pub fn set_hwm(&self, t: Csn) {
-        let mut cur = self.vd_hwm.load(Ordering::Relaxed);
-        while cur < t {
-            match self
-                .vd_hwm
-                .compare_exchange_weak(cur, t, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
+        self.vd_hwm.advance(t);
     }
 
     /// Number of base relations.

@@ -68,9 +68,11 @@ impl DriverHandle {
     pub fn stop(mut self) -> Result<()> {
         self.stop.store(true, Ordering::Release);
         match self.handle.take() {
-            Some(h) => h
-                .join()
-                .map_err(|_| Error::Internal(format!("{} driver panicked", self.name)))?,
+            Some(h) => {
+                h.thread().unpark();
+                h.join()
+                    .map_err(|_| Error::Internal(format!("{} driver panicked", self.name)))?
+            }
             None => Ok(()),
         }
     }
@@ -80,6 +82,7 @@ impl Drop for DriverHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -164,23 +167,62 @@ pub fn spawn_compaction_driver(ctx: MaintCtx, period: Duration) -> DriverHandle 
     })
 }
 
-/// Spawn the apply driver: every `period`, rolls the materialized view
-/// forward to the current view-delta high-water mark.
+/// Spawn the apply driver: at most one roll per tick, with ticks `period`
+/// apart at a fixed rate (a tick that overruns its slot is followed by the
+/// next one at once). Each tick targets the latest commit made before it:
+/// it waits on the view-delta HWM's progress signal until propagation
+/// covers that commit or the next tick is due, then rolls the view to the
+/// HWM it has. A commit made before a tick is therefore visible after
+/// that tick whenever propagation reaches it before the next tick, and
+/// otherwise as far as propagation got. A tick at which nothing has
+/// committed since the view last caught up — apart from the driver's own
+/// roll, which commits the control-table row — is skipped, so an idle
+/// pipeline commits nothing. [`DriverHandle::stop`] wakes a driver that is
+/// sleeping until its next tick; one waiting on the HWM stops when that
+/// wait ends, within a period.
 pub fn spawn_apply_driver(ctx: MaintCtx, period: Duration) -> DriverHandle {
     DriverHandle::spawn("apply", move |stop, suspend| {
+        // The latest commit when the view last caught up: while no commit
+        // is newer, a tick has nothing to show.
+        let mut caught_up = None;
+        let mut tick = Instant::now();
         while !stop.load(Ordering::Acquire) {
-            if !suspend.load(Ordering::Acquire) {
-                let target = ctx.mv.hwm();
-                if target > ctx.mv.mat_time() {
-                    match crate::apply::roll_to(&ctx, target) {
-                        Ok(_) => {}
-                        Err(Error::LockTimeout { .. }) => {}
+            let next = tick + period;
+            let target = ctx.engine.current_csn();
+            if !suspend.load(Ordering::Acquire) && caught_up != Some(target) {
+                let mut span = ctx.obs.span("apply_wait");
+                span.arg("target", target as i64);
+                let met = ctx.mv.wait_hwm(target, next);
+                span.arg("met", met as i64);
+                let hwm = ctx.mv.hwm();
+                if hwm > ctx.mv.mat_time() {
+                    match crate::apply::roll_to(&ctx, hwm) {
+                        // Only the roll's own commit is newer than the view.
+                        Ok(out) if out.committed_at == Some(hwm + 1) => {
+                            caught_up = out.committed_at;
+                        }
+                        Ok(_) | Err(Error::LockTimeout { .. }) => {}
                         Err(e) => return Err(e),
                     }
+                } else if met {
+                    caught_up = Some(target);
                 }
             }
-            std::thread::sleep(period);
+            tick = next.max(Instant::now());
+            park_until(tick, &stop);
         }
         Ok(())
     })
+}
+
+/// Sleep until `deadline`, returning early once `stop` is set
+/// ([`DriverHandle::stop`] unparks the driver thread).
+fn park_until(deadline: Instant, stop: &AtomicBool) {
+    loop {
+        let now = Instant::now();
+        if now >= deadline || stop.load(Ordering::Acquire) {
+            return;
+        }
+        std::thread::park_timeout(deadline - now);
+    }
 }

@@ -145,6 +145,7 @@ impl UnionView {
                 tuples_changed: 0,
                 insertions: 0,
                 deletions: 0,
+                committed_at: None,
             });
         }
         let mut txn = engine.begin();
@@ -161,7 +162,7 @@ impl UnionView {
             }
             txn.apply_count(self.mv_table, &tuple, count)?;
         }
-        txn.commit()?;
+        let committed_at = txn.commit()?;
         self.mat_time.store(target, Ordering::Release);
         for branch in &self.branches {
             branch.set_mat_time(target);
@@ -171,6 +172,7 @@ impl UnionView {
             tuples_changed,
             insertions,
             deletions,
+            committed_at: Some(committed_at),
         })
     }
 

@@ -20,7 +20,6 @@ use crate::delta::DeltaStore;
 use crate::wal::{Lsn, Wal, WalRecord};
 use rolljoin_common::{Csn, Result, TableId, Tuple, TxnId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The log-capture process state.
@@ -29,21 +28,21 @@ pub struct Capture {
     pos: Lsn,
     pending: HashMap<TxnId, Vec<(TableId, i64, Tuple)>>,
     deltas: HashMap<TableId, Arc<DeltaStore>>,
-    hwm: Arc<AtomicU64>,
+    /// CSN of the last commit record processed.
+    hwm: Csn,
     records_processed: u64,
     commits_captured: u64,
 }
 
 impl Capture {
-    /// Create a capture process tailing `wal`, publishing its high-water
-    /// mark through `hwm`.
-    pub fn new(wal: Arc<Wal>, hwm: Arc<AtomicU64>) -> Self {
+    /// Create a capture process tailing `wal`.
+    pub fn new(wal: Arc<Wal>) -> Self {
         Capture {
             wal,
             pos: 0,
             pending: HashMap::new(),
             deltas: HashMap::new(),
-            hwm,
+            hwm: 0,
             records_processed: 0,
             commits_captured: 0,
         }
@@ -106,7 +105,7 @@ impl Capture {
                 }
                 // Every commit advances the HWM: deltas ≤ csn are complete
                 // whether or not this transaction touched a captured table.
-                self.hwm.store(*csn, Ordering::Release);
+                self.hwm = *csn;
                 self.commits_captured += 1;
             }
             WalRecord::Abort { txn } => {
@@ -137,7 +136,7 @@ impl Capture {
     /// The capture high-water mark: all base deltas are complete through
     /// this CSN.
     pub fn hwm(&self) -> Csn {
-        self.hwm.load(Ordering::Acquire)
+        self.hwm
     }
 
     /// How many WAL records remain unprocessed (capture lag, in records).
@@ -158,8 +157,7 @@ mod tests {
 
     fn setup() -> (Arc<Wal>, Capture, Arc<DeltaStore>, Arc<DeltaStore>) {
         let wal = Arc::new(Wal::new());
-        let hwm = Arc::new(AtomicU64::new(0));
-        let mut cap = Capture::new(wal.clone(), hwm);
+        let mut cap = Capture::new(wal.clone());
         let d1 = Arc::new(DeltaStore::new(TableId(1)));
         let d2 = Arc::new(DeltaStore::new(TableId(2)));
         cap.register(d1.clone());

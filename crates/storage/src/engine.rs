@@ -29,7 +29,8 @@ use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager,
 use crate::table::BaseTable;
 use crate::uow::UnitOfWork;
 use crate::wal::{Wal, WalRecord};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::watermark::Watermark;
+use parking_lot::{Mutex, RwLock};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, Schema, TableId, TimeInterval, Tuple, TxnId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -72,10 +73,9 @@ struct EngineInner {
     granularity: AtomicU32,
     last_csn: AtomicU64,
     capture: Mutex<Capture>,
-    capture_hwm: Arc<AtomicU64>,
-    /// Capture-progress signal: notified whenever the capture HWM
-    /// advances, so waiters block instead of polling.
-    captured: (Mutex<()>, Condvar),
+    /// The capture HWM, published once per capture step; waiters block on
+    /// its progress signal instead of polling.
+    capture_hwm: Watermark,
     clock_origin: Instant,
 }
 
@@ -100,7 +100,6 @@ impl Engine {
     /// A fresh engine with a configurable lock (deadlock) timeout.
     pub fn with_lock_timeout(timeout: Duration) -> Self {
         let wal = Arc::new(Wal::new());
-        let capture_hwm = Arc::new(AtomicU64::new(0));
         Engine {
             inner: Arc::new(EngineInner {
                 tables: RwLock::new(HashMap::new()),
@@ -113,9 +112,8 @@ impl Engine {
                 commit_mutex: Mutex::new(()),
                 granularity: AtomicU32::new(0),
                 last_csn: AtomicU64::new(0),
-                capture: Mutex::new(Capture::new(wal, capture_hwm.clone())),
-                capture_hwm,
-                captured: (Mutex::new(()), Condvar::new()),
+                capture: Mutex::new(Capture::new(wal)),
+                capture_hwm: Watermark::new(0),
                 clock_origin: Instant::now(),
             }),
         }
@@ -333,48 +331,27 @@ impl Engine {
     /// that mutex ends at a published commit. This keeps the capture HWM
     /// at or below [`Engine::current_csn`].
     pub fn capture_step(&self, max_records: usize) -> Result<usize> {
-        let before = self.capture_hwm();
-        let res = {
-            let mut capture = self.inner.capture.lock();
-            let published = {
-                let _g = self.inner.commit_mutex.lock();
-                self.inner.wal.len()
-            };
-            let unread = published.saturating_sub(capture.position());
-            capture.step(max_records.min(unread as usize))
+        let mut capture = self.inner.capture.lock();
+        let published = {
+            let _g = self.inner.commit_mutex.lock();
+            self.inner.wal.len()
         };
-        self.signal_capture(before);
-        res
-    }
-
-    /// Wake every [`Engine::wait_captured`] waiter if the HWM moved past
-    /// `before`. Taking the signal mutex orders the notification after
-    /// any waiter's HWM check, so no wake-up is lost.
-    fn signal_capture(&self, before: Csn) {
-        if self.capture_hwm() > before {
-            let (lock, cv) = &self.inner.captured;
-            drop(lock.lock());
-            cv.notify_all();
-        }
+        let unread = published.saturating_sub(capture.position());
+        let n = capture.step(max_records.min(unread as usize))?;
+        self.inner.capture_hwm.advance(capture.hwm());
+        Ok(n)
     }
 
     /// The capture high-water mark: base deltas are complete through here.
     pub fn capture_hwm(&self) -> Csn {
-        self.inner.capture_hwm.load(Ordering::Acquire)
+        self.inner.capture_hwm.get()
     }
 
     /// Block until the capture HWM reaches `csn` or `deadline` passes,
     /// waking on capture progress rather than polling. Returns whether
     /// the HWM reached `csn`.
     pub fn wait_captured(&self, csn: Csn, deadline: Instant) -> bool {
-        let (lock, cv) = &self.inner.captured;
-        let mut guard = lock.lock();
-        while self.capture_hwm() < csn {
-            if cv.wait_until(&mut guard, deadline).timed_out() {
-                return self.capture_hwm() >= csn;
-            }
-        }
-        true
+        self.inner.capture_hwm.wait_for(csn, deadline)
     }
 
     /// Capture lag in WAL records.

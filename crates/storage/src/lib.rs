@@ -18,6 +18,8 @@
 //!   mark.
 //! * [`delta`] — base delta stores (`Δ^R`, CSN-ordered) and view delta
 //!   stores (timestamp-keyed, out-of-order inserts).
+//! * [`watermark`] — a monotone CSN with a progress signal, used for the
+//!   capture high-water mark and each view's delta high-water mark.
 //! * [`engine`] — the transaction API tying it all together.
 
 pub mod capture;
@@ -30,6 +32,7 @@ pub mod page;
 pub mod table;
 pub mod uow;
 pub mod wal;
+pub mod watermark;
 
 pub use capture::Capture;
 pub use delta::{CompactionStats, DeltaStore, ViewDeltaStore};
@@ -42,3 +45,4 @@ pub use lock::{
 pub use table::BaseTable;
 pub use uow::{UnitOfWork, UowEntry};
 pub use wal::{Lsn, Wal, WalRecord};
+pub use watermark::Watermark;
